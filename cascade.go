@@ -228,20 +228,20 @@ func (cs *CascadeSession) DPCells() int64 { return cs.s.DPCells() }
 // coarse passes — the inter-read batched coarse tier. Sessions opened
 // through it pend when their buffers cross the coarse prefix; the
 // crossing that fills the batch (or an explicit Flush, or the first
-// pending session to Finalize) promotes the whole group in one batched
-// pass that advances every pending read's dwell hypotheses through each
-// reference with the interleaved multi-query kernel, one scheduler
-// dispatch per (reference, batch). Survivor sets and verdicts are
-// identical to ungrouped sessions on the same reads. Drive a group's
-// sessions from one goroutine: a flush promotes and replays every
-// pending lane on the flushing goroutine.
+// pending session to Finalize) promotes the whole group in one coarse
+// pass that scores every pending read's dwell hypotheses against each
+// reference under one scheduler dispatch per (reference, batch) instead
+// of one pass per read. Survivor sets and verdicts are identical to
+// ungrouped sessions on the same reads. Drive a group's sessions from
+// one goroutine: a flush promotes and replays every pending session on
+// the flushing goroutine.
 type CascadeBatch struct {
 	cp *CascadePanel
 	b  *engine.CascadeBatch
 }
 
 // NewBatch starts an inter-read batch group of the given lane count
-// (the interleave width and flush threshold, 1..4).
+// (the flush threshold: how many reads share one coarse pass, 1..4).
 func (cp *CascadePanel) NewBatch(lanes int) (*CascadeBatch, error) {
 	b, err := cp.cascade.NewBatch(lanes)
 	if err != nil {
@@ -268,8 +268,8 @@ func (cb *CascadeBatch) NewSession(prune PrunePolicy) (*CascadeSession, error) {
 
 // NewSessionContext is NewSession bound to a context. The context of
 // whichever session triggers a flush governs the whole batched pass:
-// cancelling it mid-flush aborts every pending lane (the batch shares
-// fate, exactly like the lanes of one hardware sweep).
+// cancelling it mid-flush aborts every pending session (they share one
+// pass, so they share its fate).
 func (cb *CascadeBatch) NewSessionContext(ctx context.Context, prune PrunePolicy) (*CascadeSession, error) {
 	s, err := cb.b.NewSessionContext(ctx, engine.PrunePolicy{Enabled: prune.Enabled, MarginPerSample: int64(prune.MarginPerSample)})
 	if err != nil {

@@ -64,8 +64,8 @@
 //
 // -coarse-batch B (1..4, with -cascade) groups B concurrent reads into
 // one batched coarse pass: their prefixes pend until the group fills,
-// then one interleaved multi-query sweep scores all of them against
-// every target with one scheduler dispatch per (reference, batch).
+// then one pass scores all of them against every target with one
+// scheduler dispatch per (reference, batch) instead of one pass per read.
 // Survivor sets and verdicts are identical to -coarse-batch 1.
 package main
 
@@ -185,7 +185,7 @@ func main() {
 	cascade := flag.Bool("cascade", false, "filter the panel through the coarse cascade tier before exact classification")
 	topk := flag.Int("topk", 0, "cascade survivors per read-rate hypothesis (0 = default)")
 	decimate := flag.Int("decimate", 0, "cascade coarse-tier decimation factor (0 = default)")
-	coarseBatch := flag.Int("coarse-batch", 1, "reads per batched coarse pass (1 = sequential; up to 4 lanes, needs -cascade)")
+	coarseBatch := flag.Int("coarse-batch", 1, "reads per shared coarse pass (1 = one pass per read; up to 4, needs -cascade)")
 	rt := flag.Bool("rt", false, "run the real-time flow-cell simulation (virtual clock, deadline-aware scheduler) instead of batch classification")
 	channels := flag.Int("channels", 512, "flow-cell channel count for -rt")
 	rtSec := flag.Float64("rt-sec", 60, "simulated seconds for -rt")
@@ -502,7 +502,7 @@ func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold in
 		// shared coarse pass each. Reads within a group interleave
 		// round-robin in chunk steps (whole reads without -stream) — the
 		// arrival pattern a multi-channel flow cell produces — and the
-		// group's last Finalize flushes any straggler lanes.
+		// group's last Finalize flushes any straggler sessions.
 		mode = fmt.Sprintf("panel/cascade-batch%d", coarseBatch)
 		step := 0
 		if stream {

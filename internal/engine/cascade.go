@@ -172,17 +172,17 @@ func (c CascadeConfig) validate() error {
 
 // Cascade pairs an exact Panel with the decimated coarse references that
 // gate it. It is safe for concurrent use: coarse scoring state lives in
-// pools (one scorer per worker, one pass per in-flight read) and
-// per-read state in CascadeSession.
+// pools (one scorer per participant, one pass per in-flight promotion)
+// and per-read state in CascadeSession.
 type Cascade struct {
 	panel  *Panel
 	cfg    CascadeConfig
 	coarse [][]int8
-	icfg   sdtw.IntConfig
 	// sch prices and bounds the coarse tier's DP like any other back-end
-	// work: each per-target score borrows a slot with the 16-bit kernel's
-	// calibrated service time as its cost, so EDF ordering and the
-	// utilization accounting the flow-cell verdict reads stay honest.
+	// work: each reference a pass scores borrows one slot, costed at the
+	// 16-bit kernel's calibrated service time for every query the pass
+	// carries, so EDF ordering and the utilization accounting the
+	// flow-cell verdict reads stay honest.
 	sch     *sched.Scheduler
 	workers int
 	scorers sync.Pool
@@ -194,12 +194,11 @@ type Cascade struct {
 	// abandon.
 	seedOrder []int32
 	// The persistent coarse worker set: helpers park on work and drain
-	// whatever job is handed to them — a per-read coarsePass or a
-	// multi-read batchPass — so scoring spawns no goroutines. quit
-	// (closed by Close) releases them; sends are non-blocking, so a busy
-	// or released helper set just means the job's caller drains more
-	// targets itself.
-	work chan coarseJob
+	// whatever pass is handed to them, so scoring spawns no goroutines.
+	// quit (closed by Close) releases them; sends are non-blocking, so a
+	// busy or released helper set just means the pass's caller drains
+	// more references itself.
+	work chan *coarsePass
 	quit chan struct{}
 	// lifeMu serializes helper spawning against Close: the WaitGroup Adds
 	// in spawnHelpers must never race Close's Wait, and a spawn attempt
@@ -209,20 +208,6 @@ type Cascade struct {
 	spawned bool
 	closed  bool
 	helpers sync.WaitGroup
-	// Batched-pass pools, the batch twins of scorers/passes: one
-	// batchScorer per participant (lane-slot rows sized to the longest
-	// coarse reference), one batchPass per in-flight flush.
-	batchScorers sync.Pool
-	batchPasses  sync.Pool
-	maxCoarse    int
-}
-
-// coarseJob is the unit the persistent helper set drains: either a
-// per-read coarsePass or a multi-read batchPass. finishOne signs a
-// borrowed helper back off the job's WaitGroup.
-type coarseJob interface {
-	drain()
-	finishOne()
 }
 
 // NewCascade builds a cascade in front of panel. coarseRefs holds the
@@ -267,23 +252,15 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 		}
 		return seed[a] < seed[b]
 	})
-	maxCoarse := 0
-	for _, ref := range coarseRefs {
-		if len(ref) > maxCoarse {
-			maxCoarse = len(ref)
-		}
-	}
 	c := &Cascade{
 		panel:     panel,
 		cfg:       cfg,
 		coarse:    coarseRefs,
-		icfg:      icfg,
 		sch:       sched.New(workers),
 		workers:   workers,
 		seedOrder: seed,
-		work:      make(chan coarseJob),
+		work:      make(chan *coarsePass),
 		quit:      make(chan struct{}),
-		maxCoarse: maxCoarse,
 	}
 	c.scorers.New = func() any {
 		s, err := sdtw.NewCoarseScorer(coarseRefs, icfg)
@@ -340,9 +317,9 @@ func (c *Cascade) spawnHelpers() {
 				select {
 				case <-c.quit:
 					return
-				case j := <-c.work:
-					j.drain()
-					j.finishOne()
+				case p := <-c.work:
+					p.drain()
+					p.wg.Done()
 				}
 			}
 		}()
@@ -382,12 +359,12 @@ func (c *Cascade) CoarseServiceTime(rawPrefix int) time.Duration {
 }
 
 // cutTracker maintains the k smallest exact coarse costs completed so
-// far in one hypothesis pass and publishes the running survivor cut
+// far for one query of a pass and publishes the running survivor cut
 // (k-th best + Margin·qlen) through an atomic for the bounded sweeps to
 // read lock-free mid-row. Until k exact costs complete the published cut
 // stays at MaxInt64, pruning nothing — so the first k completions are
 // always scored exactly, whatever order targets finish in. The cut is
-// monotone non-increasing and always at or above the pass's final cut,
+// monotone non-increasing and always at or above the query's final cut,
 // which is what makes every prune admissible for survivor selection
 // (DESIGN.md §11).
 type cutTracker struct {
@@ -457,47 +434,52 @@ func (ct *cutTracker) offer(cost int32) {
 	ct.mu.Unlock()
 }
 
-// coarsePass is the pooled per-read coarse scoring state: everything one
-// read's hypotheses need — decimation and normalization scratch, the
-// cost array, the shared cut, selection scratch, and the work counter
-// the participants (caller + parked helpers) pull targets from. Pooling
-// it alongside the scorers is what makes the whole coarse pass
-// allocation-free per read.
+// coarseItem is one (read, dwell hypothesis) query of a pass: the
+// decimated+normalized query, its own running cut (admissibility is per
+// query, never shared across reads or hypotheses), each target's exact
+// coarse cost — or coarsePrunedCost where the bound abandoned it — and
+// the query's accounting.
+type coarseItem struct {
+	q                      []int8
+	eq                     []int16 // decimation scratch feeding q
+	costs                  []int32
+	cut                    cutTracker
+	samples, cells, pruned atomic.Int64
+}
+
+// coarsePass is the pooled coarse scoring state of one promotion: a
+// group of reads (one for a plain CascadeSession, up to a batch's lanes
+// for a CascadeBatch flush), every dwell hypothesis of each. The
+// participants — the promoting caller plus any parked helpers — claim
+// references off the shared seedOrder cursor; each claim acquires one
+// scheduler slot, costed for every query the pass carries, and scores
+// all of them against that reference with the bounded kernel before
+// releasing it. Pooling the pass alongside the scorers is what makes the
+// whole coarse pass allocation-free per read.
 type coarsePass struct {
-	c   *Cascade
-	ctx context.Context
-	q   []int8  // decimated+normalized query of the current hypothesis
-	eq  []int16 // decimation scratch feeding q
-	// costs holds each target's exact coarse cost, or coarsePrunedCost
-	// where the bound abandoned it.
-	costs []int32
-	keep  []bool  // per-read survivor union across hypotheses
-	sel   []int32 // quickselect scratch for the survivor cut
-	cut   cutTracker
-	next  atomic.Int64 // index into Cascade.seedOrder
-	wg    sync.WaitGroup
-	mu    sync.Mutex // guards err
-	err   error
-	// per-hypothesis accounting, reset by beginHypothesis
-	samples atomic.Int64 // query samples actually scored, summed over targets
-	cells   atomic.Int64 // DP cells actually computed
-	pruned  atomic.Int64 // targets the bound abandoned
+	c      *Cascade
+	ctx    context.Context
+	hyps   int
+	items  []coarseItem // read r's hypotheses are items[r*hyps : (r+1)*hyps]
+	keep   [][]bool     // per read, per target: survivor union across hypotheses
+	sel    []int32      // quickselect scratch for the survivor cut
+	totalQ int          // sum of query lengths, for the composite slot cost
+	next   atomic.Int64 // index into Cascade.seedOrder
+	wg     sync.WaitGroup
+	mu     sync.Mutex // guards err
+	err    error
 }
 
 func (c *Cascade) getPass(ctx context.Context) *coarsePass {
 	p, _ := c.passes.Get().(*coarsePass)
 	if p == nil {
-		p = &coarsePass{c: c}
+		p = &coarsePass{c: c, hyps: len(c.cfg.queryFactors())}
 	}
-	n := len(c.coarse)
 	p.ctx = ctx
-	if cap(p.costs) < n {
-		p.costs = make([]int32, n)
-		p.keep = make([]bool, n)
-	}
-	p.costs = p.costs[:n]
-	p.keep = p.keep[:n]
-	clear(p.keep)
+	p.items = p.items[:0]
+	p.keep = p.keep[:0]
+	p.totalQ = 0
+	p.next.Store(0)
 	p.err = nil
 	return p
 }
@@ -507,15 +489,52 @@ func (c *Cascade) putPass(p *coarsePass) {
 	c.passes.Put(p)
 }
 
-// beginHypothesis arms the pass for one dwell hypothesis: fresh work
-// counter, unseeded cut, zeroed accounting. qlen is the decimated query
-// length the Margin scales with.
-func (p *coarsePass) beginHypothesis(qlen int) {
-	p.cut.reset(p.c.cfg.TopK, p.c.cfg.Margin*int64(qlen))
-	p.next.Store(0)
-	p.samples.Store(0)
-	p.cells.Store(0)
-	p.pruned.Store(0)
+// addRead adds one read's coarse prefix (its first CoarsePrefix samples)
+// to the pass: one query per dwell hypothesis, each with an unseeded cut
+// and zeroed accounting. Items and masks reuse the pooled pass's earlier
+// scratch, so a warm pass allocates nothing here.
+func (p *coarsePass) addRead(read []int16) {
+	c := p.c
+	n := len(c.coarse)
+	if len(read) > c.cfg.CoarsePrefix {
+		read = read[:c.cfg.CoarsePrefix]
+	}
+	r := len(p.keep)
+	if r < cap(p.keep) {
+		p.keep = p.keep[:r+1]
+	} else {
+		p.keep = append(p.keep, nil)
+	}
+	if cap(p.keep[r]) < n {
+		p.keep[r] = make([]bool, n)
+	}
+	p.keep[r] = p.keep[r][:n]
+	clear(p.keep[r])
+	for _, qf := range c.cfg.queryFactors() {
+		k := len(p.items)
+		if k < cap(p.items) {
+			p.items = p.items[:k+1]
+		} else {
+			p.items = append(p.items, coarseItem{})
+		}
+		it := &p.items[k]
+		it.eq = squiggle.DecimateInt16Into(it.eq, read, qf)
+		it.q = normalize.ApplyInt8Into(it.q, it.eq)
+		if cap(it.costs) < n {
+			it.costs = make([]int32, n)
+		}
+		it.costs = it.costs[:n]
+		it.cut.reset(c.cfg.TopK, c.cfg.Margin*int64(len(it.q)))
+		it.samples.Store(0)
+		it.cells.Store(0)
+		it.pruned.Store(0)
+		p.totalQ += len(it.q)
+	}
+}
+
+// read returns read r's hypothesis items and survivor mask.
+func (p *coarsePass) read(r int) ([]coarseItem, []bool) {
+	return p.items[r*p.hyps : (r+1)*p.hyps], p.keep[r]
 }
 
 func (p *coarsePass) fail(err error) {
@@ -534,12 +553,11 @@ func (p *coarsePass) takeErr() error {
 	return p.err
 }
 
-// drain scores targets off the pass's work counter until none remain:
-// the body every participant — the session's caller and any parked
-// helpers — runs. Targets come out in seedOrder (shortest reference
-// first) so the shared cut tightens as early and cheaply as possible;
-// each score still borrows a scheduler slot at its modeled cost, and
-// everything between Acquire and Release is pure DP.
+// drain claims references off the pass's cursor until none remain: the
+// body every participant runs. References come out in seedOrder
+// (shortest first) so each query's cut tightens as early and cheaply as
+// possible. Each reference costs one scheduler slot for the whole pass,
+// and everything between Acquire and Release is pure DP.
 func (p *coarsePass) drain() {
 	c := p.c
 	n := len(c.coarse)
@@ -550,52 +568,78 @@ func (p *coarsePass) drain() {
 			break
 		}
 		i := int(c.seedOrder[j])
-		ref := c.coarse[i]
+		m := len(c.coarse[i])
 		idx, err := c.sch.Acquire(p.ctx, sched.Task{
-			Cost: coarseServiceTime(len(p.q), len(ref)),
+			Cost: coarseServiceTime(p.totalQ, m),
 		})
 		if err != nil {
 			p.fail(err)
 			break
 		}
-		r := s.ScoreBounded(p.q, i, &p.cut.cut)
-		c.sch.Release(idx)
-		p.samples.Add(int64(r.Samples))
-		p.cells.Add(int64(r.Samples) * int64(len(ref)))
-		if r.Pruned {
-			p.pruned.Add(1)
-			p.costs[i] = coarsePrunedCost
-		} else {
-			p.costs[i] = r.Cost
-			p.cut.offer(r.Cost)
+		for k := range p.items {
+			it := &p.items[k]
+			r := s.ScoreBounded(it.q, i, &it.cut.cut)
+			it.samples.Add(int64(r.Samples))
+			it.cells.Add(int64(r.Samples) * int64(m))
+			if r.Pruned {
+				it.pruned.Add(1)
+				it.costs[i] = coarsePrunedCost
+			} else {
+				it.costs[i] = r.Cost
+				it.cut.offer(r.Cost)
+			}
 		}
+		c.sch.Release(idx)
 	}
 	c.scorers.Put(s)
 }
 
-// finishOne signs a borrowed helper off the pass.
-func (p *coarsePass) finishOne() { p.wg.Done() }
-
-// fanOut offers the job to up to extra parked helpers, tracked on wg.
-// Sends are non-blocking: a helper set that is busy with other reads —
-// or already released by Close — simply doesn't join, and the job's
-// caller drains the difference itself.
-func (c *Cascade) fanOut(j coarseJob, extra int, wg *sync.WaitGroup) {
-	if extra <= 0 {
-		return
-	}
-	c.spawnHelpers()
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		select {
-		case c.work <- j:
-		default:
-			wg.Add(-1)
+// run scores every query of the pass against every target, fanning the
+// references across the persistent helper set, then marks each read's
+// survivors: the union over its hypotheses of each hypothesis's top-k
+// (ties and near-ties kept) — ranks are only meaningful within a
+// hypothesis, and the one matching the read's true rate is the one that
+// keeps the exact winner. The caller always participates and sees the
+// pass through; the error is the first a participant hit (context
+// cancellation in Acquire).
+func (p *coarsePass) run() error {
+	c := p.c
+	if extra := c.extraParticipants(len(c.coarse)); extra > 0 {
+		c.spawnHelpers()
+		for i := 0; i < extra; i++ {
+			// Non-blocking: a helper set busy with other passes — or
+			// already released by Close — simply doesn't join, and the
+			// caller drains the difference itself.
+			p.wg.Add(1)
+			select {
+			case c.work <- p:
+			default:
+				p.wg.Add(-1)
+			}
 		}
 	}
+	p.drain()
+	p.wg.Wait()
+	if err := p.takeErr(); err != nil {
+		return err
+	}
+	for r := range p.keep {
+		items, keep := p.read(r)
+		for k := range items {
+			it := &items[k]
+			cut, scratch := c.survivorCut(it.costs, len(it.q), p.sel)
+			p.sel = scratch
+			for i, cost := range it.costs {
+				if int64(cost) <= cut {
+					keep[i] = true
+				}
+			}
+		}
+	}
+	return nil
 }
 
-// extraParticipants is how many helpers a job over n targets is worth
+// extraParticipants is how many helpers a pass over n targets is worth
 // recruiting: the caller is always one participant, and more participants
 // than targets would just contend.
 func (c *Cascade) extraParticipants(n int) int {
@@ -607,17 +651,6 @@ func (c *Cascade) extraParticipants(n int) int {
 		extra = n - 1
 	}
 	return extra
-}
-
-// runPass scores the armed hypothesis against every target, fanning the
-// work across the persistent helper set, and returns the first error a
-// participant hit (context cancellation in Acquire). The caller always
-// participates and always sees the pass through.
-func (c *Cascade) runPass(p *coarsePass) error {
-	c.fanOut(p, c.extraParticipants(len(c.coarse)), &p.wg)
-	p.drain()
-	p.wg.Wait()
-	return p.takeErr()
 }
 
 // kthSmallestInt32 returns the k-th smallest value (1-based, k in
@@ -695,19 +728,6 @@ func (c *Cascade) survivors(costs []int32, qlen int) []int {
 	return out
 }
 
-// markSurvivors ors the armed hypothesis's survivor set into the pass's
-// per-read keep mask — the allocation-free twin of survivors over the
-// pass's own scratch.
-func (p *coarsePass) markSurvivors(qlen int) {
-	cut, scratch := p.c.survivorCut(p.costs, qlen, p.sel)
-	p.sel = scratch
-	for i := range p.costs {
-		if int64(p.costs[i]) <= cut {
-			p.keep[i] = true
-		}
-	}
-}
-
 // CascadeSession is the incremental form of cascade classification: raw
 // chunks buffer until the coarse prefix is complete, the coarse tier
 // picks survivors, and the buffered signal replays into a PanelSession
@@ -720,9 +740,9 @@ type CascadeSession struct {
 	ctx   context.Context
 	prune PrunePolicy
 	// batch, when non-nil, is the inter-read batch group this session
-	// promotes through: instead of running its own coarse pass at the
+	// promotes through: instead of promoting as a group of itself at the
 	// prefix crossing, the session pends until the group flushes
-	// (CascadeBatch.flush in cascadebatch.go) and is promoted there.
+	// (CascadeBatch.flushLocked in cascadebatch.go) and is promoted there.
 	batch *CascadeBatch
 	// pending: the session has crossed the coarse prefix and sits in its
 	// batch group's pending list awaiting a flush. Guards feedChunk from
@@ -785,24 +805,18 @@ func (cs *CascadeSession) feedChunk(chunk []int16) bool {
 		if len(cs.buf) < cs.c.cfg.CoarsePrefix {
 			return false
 		}
-		if cs.batch != nil {
-			// Batched promotion: pend on the group; the flush that fills
-			// the batch (possibly this very call) promotes every pending
-			// lane and replays its buffer. Later chunks keep accumulating
-			// in buf while the session pends — the flush replays them all.
-			if cs.pending {
-				return false
-			}
-			return cs.batch.crossed(cs)
+		if cs.batch == nil {
+			cs.c.promote(cs.ctx, cs) // a failed promotion aborts cs
+			return cs.done
 		}
-		if err := cs.promote(); err != nil {
-			cs.abort(err)
-			return true
+		// Batched promotion: pend on the group; the flush that fills the
+		// batch (possibly this very call) promotes every pending session
+		// and replays its buffer. Later chunks keep accumulating in buf
+		// while the session pends — the flush replays them all.
+		if cs.pending {
+			return false
 		}
-		buf := cs.buf
-		cs.buf = nil
-		cs.done = cs.inner.feed(buf)
-		return cs.done
+		return cs.batch.crossed(cs)
 	}
 	cs.done = cs.inner.feed(chunk)
 	return cs.done
@@ -812,70 +826,100 @@ func (cs *CascadeSession) feedChunk(chunk []int16) bool {
 // cancelled mid-coarse-pass. The verdict stays all-Continue (exactly an
 // abandoned read) and Err reports the cause.
 func (cs *CascadeSession) abort(err error) {
+	cs.pending = false
 	cs.err = err
 	cs.buf = nil
 	cs.done = true
 }
 
-// promote runs the coarse tier on the buffered prefix and opens the exact
-// tier over the survivors. With TopK covering the whole panel the coarse
-// tier is skipped outright (every target survives, zero coarse DP); with
-// an empty buffer — a read finalized before any signal — there is no
-// evidence to prune on, so every target survives and decides on nothing,
-// exactly as the plain panel would. The only error is the session
-// context cancelling mid-pass.
-func (cs *CascadeSession) promote() error {
-	c := cs.c
-	n := len(c.panel.targets)
-	if c.cfg.TopK >= n || len(cs.buf) == 0 {
-		cs.allSurvive()
-	} else if err := cs.scorePrefix(); err != nil {
+// promote commits a group of sessions to their survivors — a plain
+// session is a group of itself, a CascadeBatch flush is its pending
+// sessions — then opens each one's exact tier over those survivors and
+// replays its buffered signal into it. Every scoreable session's coarse
+// prefix goes through one shared pass. With TopK covering the whole
+// panel the coarse tier is skipped outright (every target survives, zero
+// coarse DP); with an empty buffer — a read finalized before any signal —
+// there is no evidence to prune on, so every target survives and decides
+// on nothing, exactly as the plain panel would. The only error is ctx
+// cancelling mid-pass, which aborts every session in the group: they
+// share one pass, so they share its fate.
+func (c *Cascade) promote(ctx context.Context, group ...*CascadeSession) error {
+	if err := c.scoreGroup(ctx, group); err != nil {
+		for _, cs := range group {
+			cs.abort(err)
+		}
 		return err
 	}
-	cs.openInner()
+	for _, cs := range group {
+		cs.pending = false
+		if !cs.scored {
+			cs.allSurvive()
+		}
+		cs.openInner()
+		buf := cs.buf
+		cs.buf = nil
+		if len(buf) > 0 {
+			cs.done = cs.inner.feed(buf)
+		}
+	}
 	return nil
 }
 
-// scorePrefix runs the sequential coarse pass over the buffered prefix:
-// every dwell hypothesis against every target, keeping the union of each
-// one's top-k — ranks are only meaningful within a hypothesis, and the
-// hypothesis matching the read's true rate is the one that keeps the
-// exact winner. The pooled pass returns on every path, error included.
-func (cs *CascadeSession) scorePrefix() error {
-	c := cs.c
-	n := len(c.panel.targets)
-	prefix := cs.buf
-	if len(prefix) > c.cfg.CoarsePrefix {
-		prefix = prefix[:c.cfg.CoarsePrefix]
-	}
-	p := c.getPass(cs.ctx)
+// scoreGroup runs the coarse pass over every scoreable session of group
+// and commits each one's survivor set and accounting. The pooled pass
+// returns on every path, error included.
+func (c *Cascade) scoreGroup(ctx context.Context, group []*CascadeSession) error {
+	p := c.getPass(ctx)
 	defer c.putPass(p)
-	for _, qf := range c.cfg.queryFactors() {
-		p.eq = squiggle.DecimateInt16Into(p.eq, prefix, qf)
-		p.q = normalize.ApplyInt8Into(p.q, p.eq)
-		p.beginHypothesis(len(p.q))
-		if err := c.runPass(p); err != nil {
-			return err
+	for _, cs := range group {
+		if cs.scoreable() {
+			p.addRead(cs.buf)
 		}
-		if c.cfg.RecordCoarseCosts {
-			row := make([]int32, n)
-			copy(row, p.costs)
-			cs.coarseCost = append(cs.coarseCost, row)
+	}
+	if len(p.keep) == 0 {
+		return nil
+	}
+	if err := p.run(); err != nil {
+		return err
+	}
+	r := 0
+	for _, cs := range group {
+		if cs.scoreable() {
+			cs.commit(p, r)
+			r++
 		}
-		cs.coarseDP += p.samples.Load()
-		cs.coarseCells += p.cells.Load()
-		cs.coarsePruned += p.pruned.Load()
+	}
+	return nil
+}
+
+// scoreable reports whether the coarse tier has anything to decide for
+// the session: TopK short of the panel and some buffered evidence.
+func (cs *CascadeSession) scoreable() bool {
+	return cs.c.cfg.TopK < len(cs.c.panel.targets) && len(cs.buf) > 0
+}
+
+// commit copies read r's pass results onto the session: survivor set,
+// accounting, and (when recording) per-hypothesis cost rows.
+func (cs *CascadeSession) commit(p *coarsePass, r int) {
+	n := len(cs.c.coarse)
+	items, keep := p.read(r)
+	for k := range items {
+		it := &items[k]
+		if cs.c.cfg.RecordCoarseCosts {
+			cs.coarseCost = append(cs.coarseCost, append([]int32(nil), it.costs...))
+		}
+		cs.coarseDP += it.samples.Load()
+		cs.coarseCells += it.cells.Load()
+		cs.coarsePruned += it.pruned.Load()
 		cs.coarseScorings += int64(n)
-		p.markSurvivors(len(p.q))
 	}
 	cs.scored = true
 	cs.surv = cs.surv[:0]
-	for i, k := range p.keep {
+	for i, k := range keep {
 		if k {
 			cs.surv = append(cs.surv, i)
 		}
 	}
-	return nil
 }
 
 // allSurvive commits the trivial survivor set: every target. Used when
@@ -908,31 +952,23 @@ func (cs *CascadeSession) openInner() {
 }
 
 // Finalize signals that the read ended. A read shorter than the coarse
-// prefix promotes on whatever buffered, then the survivor panel finalizes
-// on the full buffered signal.
+// prefix promotes on whatever buffered — a batched one flushes its whole
+// pending group, every member of which has its full coarse evidence
+// buffered, so each commits exactly the survivors its own flush would
+// have — then the survivor panel finalizes on the full buffered signal.
 func (cs *CascadeSession) Finalize() PanelResult {
 	if cs.done {
 		return cs.snapshot()
 	}
 	if cs.inner == nil {
+		var err error
 		if cs.batch != nil {
-			// Flush the whole pending group, this session included:
-			// every pending lane has its full coarse evidence buffered,
-			// so promoting the group now commits exactly the survivor
-			// sets their own flushes would have.
-			if err := cs.batch.flushWith(cs); err != nil {
-				return cs.snapshot() // the flush aborted every pending lane
-			}
+			err = cs.batch.flushWith(cs)
 		} else {
-			if err := cs.promote(); err != nil {
-				cs.abort(err)
-				return cs.snapshot()
-			}
-			buf := cs.buf
-			cs.buf = nil
-			if len(buf) > 0 {
-				cs.inner.feed(buf)
-			}
+			err = cs.c.promote(cs.ctx, cs)
+		}
+		if err != nil {
+			return cs.snapshot() // the promotion aborted cs
 		}
 	}
 	cs.inner.Finalize()

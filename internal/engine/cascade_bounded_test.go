@@ -268,23 +268,21 @@ func TestCascadeCloseReleasesWorkers(t *testing.T) {
 }
 
 // runCoarsePass drives one full coarse pass (all dwell hypotheses) over
-// read through the pooled pass machinery — exactly promote's coarse
-// section, reusable by the allocation test and the benchmark.
+// read through the pooled pass machinery — exactly what a plain
+// session's promotion scores, reusable by the allocation test and the
+// benchmarks.
 func runCoarsePass(tb testing.TB, c *Cascade, read []int16) (cells, pruned, scorings int64) {
 	p := c.getPass(context.Background())
-	for _, qf := range c.cfg.queryFactors() {
-		p.eq = squiggle.DecimateInt16Into(p.eq, read, qf)
-		p.q = normalize.ApplyInt8Into(p.q, p.eq)
-		p.beginHypothesis(len(p.q))
-		if err := c.runPass(p); err != nil {
-			tb.Fatal(err)
-		}
-		p.markSurvivors(len(p.q))
-		cells += p.cells.Load()
-		pruned += p.pruned.Load()
+	defer c.putPass(p)
+	p.addRead(read)
+	if err := p.run(); err != nil {
+		tb.Fatal(err)
+	}
+	for k := range p.items {
+		cells += p.items[k].cells.Load()
+		pruned += p.items[k].pruned.Load()
 		scorings += int64(len(c.coarse))
 	}
-	c.putPass(p)
 	return cells, pruned, scorings
 }
 

@@ -4,71 +4,55 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"squigglefilter/internal/engine/sched"
-	"squigglefilter/internal/normalize"
-	"squigglefilter/internal/sdtw"
-	"squigglefilter/internal/squiggle"
 )
 
-// The inter-read batched coarse tier: instead of each read streaming the
-// whole decimated reference set through its own coarse pass, up to
-// Lanes concurrent sessions pend at their prefix crossing and promote
-// together. One flush runs a single pass over the references, advancing
-// every pending (session, dwell-hypothesis) query through each
-// reference with the interleaved sweep (sdtw.ExtendShard16Batch), and
-// dispatches one scheduler task per (reference, batch) — carrying the
-// composite service time of every lane's cells — instead of one per
-// (reference, read, hypothesis).
+// The inter-read batched coarse tier: instead of each read promoting
+// through a coarse pass of its own, up to Lanes concurrent sessions pend
+// at their prefix crossing and promote together through one pass
+// (Cascade.promote, the same code a plain session runs as a group of
+// itself). The pass still scores every (session, dwell hypothesis)
+// query with the plain bounded kernel, so DP cells are unchanged; what
+// the group shares is the dispatch: one scheduler task per reference —
+// carrying the composite service time of every query's cells — and one
+// traversal of the reference set, instead of one of each per read.
 //
-// Survivor sets are identical to the sequential coarse pass by
-// construction: every (session, hypothesis) lane keeps its own
-// cutTracker (so prunes are admissible against that lane's own running
-// top-k, exactly as in the sequential pass), its own cost array, and
-// the same survivorCut selection rule; the interleaved kernel is
-// bit-identical to ExtendShard16Bounded per lane (DESIGN.md §12).
-// TestBatchedCoarseSurvivorIdentity locks the equivalence, ragged lane
-// retirement included.
-//
-// What batching buys on this machine is measured, not assumed: the
-// interleaved kernel itself has no ILP headroom left (the single-lane
-// sweep already sits at the core's issue-width roofline — EXPERIMENTS.md
-// §roofline-revisited), so the win is confined to dispatch amortization:
-// Lanes× fewer scheduler acquisitions and reference-set traversals per
-// read. BenchmarkCoarseBatch reports the honest reads/sec per lane
-// count and the CI ratchet locks whatever it measures.
+// Survivor sets are identical to a plain session's by construction:
+// every query keeps its own cutTracker (so prunes are admissible
+// against that query's own running top-k), its own cost array, and the
+// same survivorCut selection rule (DESIGN.md §12).
+// TestBatchedCoarseSurvivorIdentity locks the equivalence.
+
+// MaxBatchLanes bounds a CascadeBatch's flush group: at most this many
+// sessions share one coarse pass. The bound is a latency cap, not a
+// hardware limit — a pending session waits for the group to fill, and
+// a flushed group's reads all wait for the whole pass.
+const MaxBatchLanes = 4
 
 // CascadeBatch groups up to Lanes concurrent sessions into shared
 // coarse passes. Sessions opened through NewSession pend at their
 // prefix crossing; the crossing that fills the batch (or an explicit
 // Flush, or the first pending session to Finalize) promotes the whole
-// group in one batched pass.
+// group in one pass.
 //
 // The group's sessions must be driven from one goroutine (or externally
-// synchronized): a flush promotes and replays every pending lane on the
-// flushing goroutine, and the per-read session types are not
+// synchronized): a flush promotes and replays every pending session on
+// the flushing goroutine, and the per-read session types are not
 // goroutine-safe. A failed flush — the flushing session's context
-// cancelling mid-pass — aborts every pending lane with the same error:
-// the batch shares fate, exactly like the lanes of one hardware sweep.
+// cancelling mid-pass — aborts every pending session with the same
+// error: the group shares one pass, so it shares its fate.
 type CascadeBatch struct {
 	c       *Cascade
 	lanes   int
 	mu      sync.Mutex
 	pending []*CascadeSession
-	// flush scratch, reused across flushes
-	score []*CascadeSession
-	reads [][]int16
 }
 
 // NewBatch starts an inter-read batch group over the cascade. lanes is
-// the interleave width of the batched kernel and the flush threshold,
-// in [1, sdtw.MaxBatchLanes].
+// the flush threshold, in [1, MaxBatchLanes].
 func (c *Cascade) NewBatch(lanes int) (*CascadeBatch, error) {
-	if lanes < 1 || lanes > sdtw.MaxBatchLanes {
+	if lanes < 1 || lanes > MaxBatchLanes {
 		return nil, fmt.Errorf("engine: cascade batch lanes must be in [1, %d], got %d",
-			sdtw.MaxBatchLanes, lanes)
+			MaxBatchLanes, lanes)
 	}
 	return &CascadeBatch{c: c, lanes: lanes}, nil
 }
@@ -122,7 +106,7 @@ func (cb *CascadeBatch) crossed(cs *CascadeSession) bool {
 	cs.pending = true
 	cb.pending = append(cb.pending, cs)
 	if len(cb.pending) >= cb.lanes {
-		cb.flushLocked(cs.ctx) // a failed flush aborts every lane, cs included
+		cb.flushLocked(cs.ctx) // a failed flush aborts every session, cs included
 	}
 	cb.mu.Unlock()
 	return cs.done
@@ -140,347 +124,10 @@ func (cb *CascadeBatch) flushWith(cs *CascadeSession) error {
 	return cb.flushLocked(cs.ctx)
 }
 
-// flushLocked promotes every pending session: one batched coarse pass
-// over all scoreable lanes, then survivor commit, exact-tier open, and
-// buffered-signal replay per session — the batched twin of promote().
-// Sessions with nothing to score (TopK covering the panel, or an empty
-// buffer at Finalize) promote trivially alongside. On error every
-// pending session aborts with the cause.
+// flushLocked promotes every pending session as one group under ctx.
 func (cb *CascadeBatch) flushLocked(ctx context.Context) error {
-	c := cb.c
-	pend := cb.pending
+	err := cb.c.promote(ctx, cb.pending...)
+	clear(cb.pending)
 	cb.pending = cb.pending[:0]
-	n := len(c.panel.targets)
-	cb.score, cb.reads = cb.score[:0], cb.reads[:0]
-	for _, s := range pend {
-		if c.cfg.TopK < n && len(s.buf) > 0 {
-			prefix := s.buf
-			if len(prefix) > c.cfg.CoarsePrefix {
-				prefix = prefix[:c.cfg.CoarsePrefix]
-			}
-			cb.score = append(cb.score, s)
-			cb.reads = append(cb.reads, prefix)
-		}
-	}
-	if len(cb.score) > 0 {
-		bp, err := c.runCoarseBatch(ctx, cb.reads, cb.lanes)
-		if err != nil {
-			for _, s := range pend {
-				s.pending = false
-				s.abort(err)
-			}
-			return err
-		}
-		for si, s := range cb.score {
-			s.commitBatch(bp, si)
-		}
-		c.putBatchPass(bp)
-	}
-	for _, s := range pend {
-		s.pending = false
-		if s.surv == nil {
-			s.allSurvive()
-		}
-		s.openInner()
-		buf := s.buf
-		s.buf = nil
-		if len(buf) > 0 {
-			s.done = s.inner.feed(buf)
-		}
-	}
-	return nil
-}
-
-// commitBatch copies lane si's pass results onto the session: survivor
-// set, accounting, and (when recording) per-hypothesis cost rows — the
-// batched twin of scorePrefix's commit section.
-func (cs *CascadeSession) commitBatch(bp *batchPass, si int) {
-	c := cs.c
-	n := len(c.coarse)
-	for h := 0; h < bp.hyps; h++ {
-		it := &bp.items[si*bp.hyps+h]
-		if c.cfg.RecordCoarseCosts {
-			row := make([]int32, n)
-			copy(row, it.costs)
-			cs.coarseCost = append(cs.coarseCost, row)
-		}
-		cs.coarseDP += it.samples.Load()
-		cs.coarseCells += it.cells.Load()
-		cs.coarsePruned += it.pruned.Load()
-		cs.coarseScorings += int64(n)
-	}
-	cs.scored = true
-	cs.surv = cs.surv[:0]
-	for i, k := range bp.keep[si] {
-		if k {
-			cs.surv = append(cs.surv, i)
-		}
-	}
-}
-
-// batchItem is one (session, dwell hypothesis) lane of a batched pass:
-// its decimated query, its own running cut (admissibility is per lane,
-// exactly as in the sequential pass), its cost array, and accounting.
-type batchItem struct {
-	q                      []int8
-	eq                     []int16
-	costs                  []int32
-	cut                    cutTracker
-	samples, cells, pruned atomic.Int64
-}
-
-// batchPass is the pooled state of one batched coarse pass — the
-// multi-read twin of coarsePass. Participants (the flushing caller plus
-// any parked helpers) claim references off the shared seedOrder cursor;
-// each claim acquires one scheduler slot whose cost is the composite
-// service time of every lane's cells over that reference, and scores
-// all lanes through the interleaved kernel before releasing it.
-type batchPass struct {
-	c      *Cascade
-	ctx    context.Context
-	width  int
-	hyps   int
-	items  []batchItem
-	keep   [][]bool // per session, per target: survivor union across hypotheses
-	sel    []int32  // quickselect scratch
-	totalQ int      // sum of lane query lengths, for the composite cost
-	next   atomic.Int64
-	wg     sync.WaitGroup
-	mu     sync.Mutex // guards err
-	err    error
-}
-
-func (p *batchPass) finishOne() { p.wg.Done() }
-
-func (p *batchPass) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-	// Park the work counter past the end so every participant drains out.
-	p.next.Store(int64(len(p.c.coarse)))
-}
-
-func (p *batchPass) takeErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-func (c *Cascade) getBatchPass(ctx context.Context, sessions, hyps int) *batchPass {
-	p, _ := c.batchPasses.Get().(*batchPass)
-	if p == nil {
-		p = &batchPass{c: c}
-	}
-	p.ctx = ctx
-	p.hyps = hyps
-	n := len(c.coarse)
-	lanes := sessions * hyps
-	for len(p.items) < lanes {
-		p.items = append(p.items, batchItem{})
-	}
-	p.items = p.items[:lanes]
-	for i := range p.items {
-		it := &p.items[i]
-		if cap(it.costs) < n {
-			it.costs = make([]int32, n)
-		}
-		it.costs = it.costs[:n]
-		it.samples.Store(0)
-		it.cells.Store(0)
-		it.pruned.Store(0)
-	}
-	for len(p.keep) < sessions {
-		p.keep = append(p.keep, nil)
-	}
-	p.keep = p.keep[:sessions]
-	for s := range p.keep {
-		if cap(p.keep[s]) < n {
-			p.keep[s] = make([]bool, n)
-		}
-		p.keep[s] = p.keep[s][:n]
-		clear(p.keep[s])
-	}
-	p.next.Store(0)
-	p.err = nil
-	return p
-}
-
-func (c *Cascade) putBatchPass(p *batchPass) {
-	p.ctx = nil
-	c.batchPasses.Put(p)
-}
-
-// batchSlot is one interleave slot of a participant's scorer: the lane
-// handed to the kernel, the row view it advances (a reslice of the
-// persistent backing row, sized to the reference being scored), and
-// which pass item currently occupies the slot.
-type batchSlot struct {
-	lane sdtw.Lane16
-	view sdtw.Row16
-	back *sdtw.Row16
-	item int
-}
-
-// batchScorer is one participant's pooled lane-slot set, rows sized to
-// the cascade's longest coarse reference so any reference's view is a
-// reslice away.
-type batchScorer struct {
-	slots [sdtw.MaxBatchLanes]batchSlot
-}
-
-func (bs *batchScorer) slotOf(lane *sdtw.Lane16) *batchSlot {
-	for k := range bs.slots {
-		if &bs.slots[k].lane == lane {
-			return &bs.slots[k]
-		}
-	}
-	panic("engine: batch lane retired to a foreign scorer") // unreachable
-}
-
-func (c *Cascade) getBatchScorer() *batchScorer {
-	bs, _ := c.batchScorers.Get().(*batchScorer)
-	if bs == nil {
-		bs = &batchScorer{}
-		for k := range bs.slots {
-			bs.slots[k].back = sdtw.NewRow16(c.maxCoarse)
-		}
-	}
-	return bs
-}
-
-// runCoarseBatch scores every dwell hypothesis of every read in one
-// batched pass and returns the pass with per-read survivor masks
-// committed in keep. The caller owns the returned pass until
-// putBatchPass. reads must be non-empty prefixes; width is clamped to
-// [1, sdtw.MaxBatchLanes].
-func (c *Cascade) runCoarseBatch(ctx context.Context, reads [][]int16, width int) (*batchPass, error) {
-	if width < 1 {
-		width = 1
-	}
-	if width > sdtw.MaxBatchLanes {
-		width = sdtw.MaxBatchLanes
-	}
-	qfs := c.cfg.queryFactors()
-	p := c.getBatchPass(ctx, len(reads), len(qfs))
-	p.width = width
-	p.totalQ = 0
-	for s, read := range reads {
-		for h, qf := range qfs {
-			it := &p.items[s*len(qfs)+h]
-			it.eq = squiggle.DecimateInt16Into(it.eq, read, qf)
-			it.q = normalize.ApplyInt8Into(it.q, it.eq)
-			it.cut.reset(c.cfg.TopK, c.cfg.Margin*int64(len(it.q)))
-			p.totalQ += len(it.q)
-		}
-	}
-	c.fanOut(p, c.extraParticipants(len(c.coarse)), &p.wg)
-	p.drain()
-	p.wg.Wait()
-	if err := p.takeErr(); err != nil {
-		c.putBatchPass(p)
-		return nil, err
-	}
-	// Survivor selection per lane, exactly the sequential rule: the
-	// union over hypotheses of each hypothesis's top-k (ties and
-	// near-ties kept).
-	for s := range reads {
-		keep := p.keep[s]
-		for h := range qfs {
-			it := &p.items[s*len(qfs)+h]
-			cut, scratch := c.survivorCut(it.costs, len(it.q), p.sel)
-			p.sel = scratch
-			for i := range it.costs {
-				if int64(it.costs[i]) <= cut {
-					keep[i] = true
-				}
-			}
-		}
-	}
-	return p, nil
-}
-
-// drain claims references off the pass's shared cursor until none
-// remain — the body every participant runs. Each reference costs one
-// scheduler acquisition for the whole batch (composite cost), then all
-// lanes advance through it in one interleaved kernel call.
-func (p *batchPass) drain() {
-	c := p.c
-	n := len(c.coarse)
-	bs := c.getBatchScorer()
-	for {
-		j := p.next.Add(1) - 1
-		if j >= int64(n) {
-			break
-		}
-		i := int(c.seedOrder[j])
-		ref := c.coarse[i]
-		idx, err := c.sch.Acquire(p.ctx, sched.Task{
-			Cost: coarseServiceTime(p.totalQ, len(ref)),
-		})
-		if err != nil {
-			p.fail(err)
-			break
-		}
-		p.scoreRef(bs, i, ref)
-		c.sch.Release(idx)
-	}
-	c.batchScorers.Put(bs)
-}
-
-// scoreRef advances every pass item through one reference with the
-// interleaved kernel: up to width lanes in flight, retired lanes
-// harvested (cost or certified prune, cut tightened) and their slots
-// refilled with the next item until all are scored.
-func (p *batchPass) scoreRef(bs *batchScorer, i int, ref []int8) {
-	m := len(ref)
-	next, fill := 0, 0
-	sdtw.ExtendShard16Batch(p.width, ref, p.c.icfg, func(retired *sdtw.Lane16) *sdtw.Lane16 {
-		var slot *batchSlot
-		if retired == nil {
-			slot = &bs.slots[fill]
-			fill++
-		} else {
-			slot = bs.slotOf(retired)
-			it := &p.items[slot.item]
-			r := retired.Res
-			it.samples.Add(int64(r.Samples))
-			it.cells.Add(int64(r.Samples) * int64(m))
-			if r.Pruned {
-				it.pruned.Add(1)
-				it.costs[i] = coarsePrunedCost
-			} else {
-				it.costs[i] = r.Cost
-				it.cut.offer(r.Cost)
-			}
-		}
-		if next >= len(p.items) {
-			return nil
-		}
-		it := &p.items[next]
-		slot.item = next
-		next++
-		back := slot.back
-		slot.view = sdtw.Row16{Cost: back.Cost[:m], Run: back.Run[:m]}
-		clear(slot.view.Cost)
-		clear(slot.view.Run)
-		slot.lane = sdtw.Lane16{Query: it.q, Row: &slot.view, Cut: &it.cut.cut}
-		return &slot.lane
-	})
-}
-
-// CoarseBatchServiceTime returns the modeled wall time of one batched
-// coarse pass over lanes reads of the given raw prefix length — the
-// figure flow-cell keep-up accounting prices a batch flush at. It is
-// lanes times the per-read model: the a-priori cost prices DP cells,
-// and batching reduces dispatch count, not cells (the interleaved
-// kernel's throughput is at par with the sequential one — the measured
-// lane-scaling wall in EXPERIMENTS.md §roofline-revisited), so the
-// composite model stays conservative.
-func (c *Cascade) CoarseBatchServiceTime(rawPrefix, lanes int) time.Duration {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return time.Duration(lanes) * c.CoarseServiceTime(rawPrefix)
+	return err
 }

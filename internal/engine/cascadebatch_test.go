@@ -241,6 +241,36 @@ func TestCascadeCloseConcurrent(t *testing.T) {
 	}
 }
 
+// TestCascadeSessionOneAcquirePerReference: a plain session promotes as
+// a batch of one, so its coarse pass borrows one scheduler slot per
+// reference — every dwell hypothesis scored inside it — not one per
+// (reference, hypothesis). The exact tier schedules on its own panel's
+// pools, so the coarse scheduler's completions count exactly the pass.
+func TestCascadeSessionOneAcquirePerReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(193))
+	const n = 12
+	c, _ := buildBoundedCascade(t, rng, n, 3, 0, 1200)
+	defer c.Close()
+	if h := len(c.cfg.queryFactors()); h < 2 {
+		t.Fatalf("%d dwell hypotheses; the test needs several", h)
+	}
+	for trial := 0; trial < 3; trial++ {
+		before := c.sch.Stats().Completed
+		cs, err := c.NewSession(PrunePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.Stream(randomRead(rng, 1500), 400)
+		if cs.CoarseScorings() == 0 {
+			t.Fatalf("trial %d: the coarse tier never scored", trial)
+		}
+		if got := c.sch.Stats().Completed - before; got != n {
+			t.Errorf("trial %d: coarse pass completed %d scheduler tasks over %d references, want %d",
+				trial, got, n, n)
+		}
+	}
+}
+
 // TestCascadePassPoolReuseOnCancel pins the pooled-pass error path: a
 // pass unwound by cancellation must still return to the pool (the
 // defer-based putPass), so a burst of cancelled reads does not allocate
@@ -259,9 +289,9 @@ func TestCascadePassPoolReuseOnCancel(t *testing.T) {
 	failedPass := func() {
 		p := c.getPass(cancelled)
 		defer c.putPass(p)
-		p.beginHypothesis(len(read) / DefaultDecimation)
-		if err := c.runPass(p); err == nil {
-			t.Fatal("runPass under a cancelled context did not fail")
+		p.addRead(read)
+		if err := p.run(); err == nil {
+			t.Fatal("coarse pass under a cancelled context did not fail")
 		}
 	}
 	for i := 0; i < 5; i++ {
@@ -278,12 +308,12 @@ func TestCascadeBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(181))
 	c, _ := buildBoundedCascade(t, rng, 8, 2, 0, 600)
 	defer c.Close()
-	for _, lanes := range []int{0, -1, sdtw.MaxBatchLanes + 1} {
+	for _, lanes := range []int{0, -1, MaxBatchLanes + 1} {
 		if _, err := c.NewBatch(lanes); err == nil {
 			t.Errorf("NewBatch(%d) accepted an out-of-range width", lanes)
 		}
 	}
-	for lanes := 1; lanes <= sdtw.MaxBatchLanes; lanes++ {
+	for lanes := 1; lanes <= MaxBatchLanes; lanes++ {
 		cb, err := c.NewBatch(lanes)
 		if err != nil {
 			t.Fatalf("NewBatch(%d): %v", lanes, err)
@@ -295,12 +325,12 @@ func TestCascadeBatchValidation(t *testing.T) {
 }
 
 // BenchmarkCoarseBatch measures the engine-level coarse tier at panel
-// scale (N=1000 targets) as batching widens: one batched pass per group
-// of B reads versus B sequential passes, isolated from the exact tier.
-// reads/sec is the ratcheted figure; the lane-scaling table in
-// EXPERIMENTS.md §roofline-revisited carries the honest interpretation
-// (the interleaved kernel is at the scalar roofline, so the headroom
-// batching can win is dispatch amortization only).
+// scale (N=1000 targets) as batching widens: the same 4 reads scored in
+// groups of B reads per pass — what NewBatch(B) flushes — versus one
+// plain pass per read, isolated from the exact tier. Every row runs the
+// same kernel over the same cells; reads/sec is the ratcheted figure,
+// and what batching can win is dispatch amortization only (one
+// scheduler slot and reference-set traversal per group, not per read).
 func BenchmarkCoarseBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(191))
 	cfg := sdtw.DefaultIntConfig()
@@ -322,6 +352,18 @@ func BenchmarkCoarseBatch(b *testing.B) {
 	for i := range reads {
 		reads[i] = randomRead(rng, DefaultCoarsePrefix)
 	}
+	scoreGroups := func(b *testing.B, lanes int) {
+		for g := 0; g < len(reads); g += lanes {
+			p := c.getPass(context.Background())
+			for _, read := range reads[g:min(g+lanes, len(reads))] {
+				p.addRead(read)
+			}
+			if err := p.run(); err != nil {
+				b.Fatal(err)
+			}
+			c.putPass(p)
+		}
+	}
 
 	b.Run("sequential", func(b *testing.B) {
 		runCoarsePass(b, c, reads[0]) // warm pools and helpers
@@ -335,18 +377,10 @@ func BenchmarkCoarseBatch(b *testing.B) {
 	})
 	for _, lanes := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			bp, err := c.runCoarseBatch(context.Background(), reads, lanes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.putBatchPass(bp) // warm the batch pools
+			scoreGroups(b, lanes) // warm pools and helpers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bp, err := c.runCoarseBatch(context.Background(), reads, lanes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.putBatchPass(bp)
+				scoreGroups(b, lanes)
 			}
 			b.ReportMetric(float64(groupReads)*float64(b.N)/b.Elapsed().Seconds(), "reads/sec")
 		})

@@ -63,11 +63,10 @@ type FlowCellConfig struct {
 	// until CoarseLanes of them accumulate (or the oldest has waited a
 	// full chunk period — a straggler flush, so a lull on other channels
 	// cannot starve a pending read), then one composite task carries the
-	// whole group's cost. Clamped to [1, sdtw.MaxBatchLanes]; zero means
+	// whole group's cost. Clamped to [1, engine.MaxBatchLanes]; zero means
 	// sequential (1). The composite cost is the sum of the members'
-	// per-read costs: batching amortizes dispatch, not DP cells (the
-	// interleaved kernel runs at par with the sequential one — the
-	// measured lane-scaling wall in EXPERIMENTS.md §roofline-revisited).
+	// per-read costs: batching amortizes dispatch, not DP cells (every
+	// query in a batched pass still runs the plain bounded kernel).
 	CoarseLanes int
 }
 
@@ -245,8 +244,8 @@ func RunFlowCell(pipe *engine.Pipeline, cfg FlowCellConfig, src ReadSource) (Flo
 	if coarseLanes < 1 {
 		coarseLanes = 1
 	}
-	if coarseLanes > sdtw.MaxBatchLanes {
-		coarseLanes = sdtw.MaxBatchLanes
+	if coarseLanes > engine.MaxBatchLanes {
+		coarseLanes = engine.MaxBatchLanes
 	}
 	var coarsePrefix int
 	if cfg.Coarse != nil {

@@ -122,8 +122,8 @@ func TestFlowCellCoarseTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wide.CoarseLanes != sdtw.MaxBatchLanes {
-		t.Errorf("lanes=99 clamped to %d, want %d", wide.CoarseLanes, sdtw.MaxBatchLanes)
+	if wide.CoarseLanes != engine.MaxBatchLanes {
+		t.Errorf("lanes=99 clamped to %d, want %d", wide.CoarseLanes, engine.MaxBatchLanes)
 	}
 
 	// Determinism holds with the coarse tier in the task mix.

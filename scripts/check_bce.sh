@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Bounds-check audit for the sDTW hot strips: the register-resident
-# recurrence in sweep.go, sweep16.go, sweep16bounded.go (the
-# early-abandoning coarse driver), and sweep16batch.go (the interleaved
-# multi-query strips) is written in forms the compiler's prove pass
-# eliminates every per-cell bounds check for; this script fails CI if
-# one ever comes back (a refactor re-introducing an unprovable shared
-# induction variable is the usual culprit).
+# recurrence in sweep.go, sweep16.go and sweep16bounded.go (the
+# early-abandoning coarse driver) is written in forms the compiler's
+# prove pass eliminates every per-cell bounds check for; this script
+# fails CI if one ever comes back (a refactor re-introducing an
+# unprovable shared induction variable is the usual culprit).
 # coarse.go rides along: its panel indexing sits on the cascade's
 # 1,000-target scoring path and is kept provable behind a single
 # unsigned guard (CoarseScorer.ref).
@@ -24,7 +23,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-audited='(sweep(16)?(bounded|batch)?|coarse)\.go'
+audited='(sweep(16)?(bounded)?|coarse)\.go'
 
 audit() {
   local out hits

@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Acceptance-gate presence check. `go test -race ./...` already runs every
+# test in the module, the gates below included; what a green run cannot
+# show is that a gate still exists. A renamed or deleted gate just stops
+# running. This script lists each package's tests with `go test -list`
+# (compile only, nothing runs) and fails naming every gate that is gone.
+#
+# Usage: scripts/check_gates.sh   (exit 1 if any gate is missing)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# One package per line, followed by the gate tests that must exist in it.
+#
+# - Panel sessions: streamed panel verdicts are chunking-invariant and
+#   pruning never changes the winner.
+# - Sharding: sharded sw/hw rows stay bit-identical to the unsharded
+#   kernel at every layer.
+# - Scheduler: every concurrency path dispatches through
+#   internal/engine/sched with verdicts identical to serial
+#   classification, mixed load stays deadlock-free on one instance, the
+#   virtual-time twin is deterministic, and the 512-channel keep-up
+#   verdict cross-validates against the runtime model.
+# - Cascade: the coarse tier never drops the exact panel's winner, and
+#   TopK >= the panel size is bit-identical to a plain panel.
+# - Bounded coarse tier: survivors equal exhaustive scoring's, the bound
+#   is admissible against the unbounded kernel, and cancelled or closed
+#   cascades unwind without leaking coarse workers.
+# - Batched coarse tier: a CascadeBatch commits exactly the ungrouped
+#   survivor sets and verdicts, a cancelled flush aborts the whole group,
+#   Close is safe racing in-flight passes, every pass takes one scheduler
+#   slot per reference, and the flow cell prices the batched tier.
+gates='
+./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
+./internal/sdtw TestShardedRowMatchesExtend
+./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
+./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
+./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestClassifyStreamCancelled TestSessionFeedCancelled
+./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder
+./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
+. TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity
+./internal/sdtw TestBounded16Admissibility TestBounded16FutureDropLemma
+./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers
+./internal/engine TestBatchedCoarseSurvivorIdentity TestBatchedCoarseCancelMidSweep TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerReference
+./internal/minion TestFlowCellCoarseTier TestFlowCellCoarseStragglerFlush
+'
+
+missing=0
+while read -r pkg tests; do
+  [ -n "$pkg" ] || continue
+  listed=$(go test -list '^Test' "$pkg")
+  for t in $tests; do
+    if ! grep -qx "$t" <<<"$listed"; then
+      echo "gate test $t is missing from $pkg" >&2
+      missing=1
+    fi
+  done
+done <<<"$gates"
+
+if [ "$missing" -ne 0 ]; then
+  exit 1
+fi
+echo "every acceptance gate test exists"
