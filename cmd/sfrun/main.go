@@ -297,8 +297,10 @@ func main() {
 		log.Fatal(err)
 	}
 	// The resolved configuration, so runs are reproducible from their logs.
-	fmt.Printf("config: backend=%s kernel=%s workers=%d shards=%d (reference %d samples)\n",
-		*backend, det2.Kernel(), det2.Workers(), det2.Shards(), det2.ReferenceSamples())
+	// sweep names the int32 row sweep the process dispatched to (AVX2
+	// strip or scalar), so a timing can be tied to the path behind it.
+	fmt.Printf("config: backend=%s kernel=%s sweep=%s workers=%d shards=%d (reference %d samples)\n",
+		*backend, det2.Kernel(), sdtw.Sweep(), det2.Workers(), det2.Shards(), det2.ReferenceSamples())
 
 	samples := make([][]int16, len(reads))
 	for i, r := range reads {
@@ -408,8 +410,8 @@ func runRealtime(reads []*squiggle.Read, seq, backend string, kernel engine.Kern
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("realtime: backend=%s kernel=%s servers=%d prefix=%d threshold=%d chunk=%d (%.3fs period), %gs simulated\n",
-		backend, kernel, servers, prefix, threshold, chunk, res.ChunkPeriodSec, rtSec)
+	fmt.Printf("realtime: backend=%s kernel=%s sweep=%s servers=%d prefix=%d threshold=%d chunk=%d (%.3fs period), %gs simulated\n",
+		backend, kernel, sdtw.Sweep(), servers, prefix, threshold, chunk, res.ChunkPeriodSec, rtSec)
 	fmt.Println(res)
 	fmt.Printf("yield: %d target / %d total bases, %d full reads, %d ejected; wait p99=%.3gs\n",
 		res.TargetBases, res.TotalBases, res.ReadsFull, res.ReadsEjected, res.Wait.P99)
@@ -452,15 +454,15 @@ func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold in
 		}
 		panel = cp.Panel()
 		cc := cp.Config()
-		fmt.Printf("config: backend=sw targets=%d shards=%d cascade decimate=%d topk=%d coarse-prefix=%d coarse-batch=%d\n",
-			len(panel.Targets()), shards, cc.Decimation, cc.TopK, cc.CoarsePrefix, coarseBatch)
+		fmt.Printf("config: backend=sw sweep=%s targets=%d shards=%d cascade decimate=%d topk=%d coarse-prefix=%d coarse-batch=%d\n",
+			sdtw.Sweep(), len(panel.Targets()), shards, cc.Decimation, cc.TopK, cc.CoarsePrefix, coarseBatch)
 	} else {
 		var err error
 		panel, err = squigglefilter.NewPanel(cfgs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("config: backend=sw targets=%d shards=%d\n", len(panel.Targets()), shards)
+		fmt.Printf("config: backend=sw sweep=%s targets=%d shards=%d\n", sdtw.Sweep(), len(panel.Targets()), shards)
 	}
 	names := panel.Targets()
 	prune := squigglefilter.PrunePolicy{Enabled: pruneMargin >= 0, MarginPerSample: pruneMargin}

@@ -167,8 +167,8 @@ type shardKernel interface {
 }
 
 // stager implements Backend over a kernel: the single normalization and
-// staging policy, with sync.Pool-reused DP rows so the hot loop does not
-// allocate per read.
+// staging policy, with sync.Pool-reused DP rows and staging buffers so the
+// hot loop does not allocate per read.
 type stager struct {
 	k kernel
 	// shardWidth, when positive, selects the serial cache-blocked sharded
@@ -181,7 +181,7 @@ type stager struct {
 
 func newStager(k kernel) *stager {
 	s := &stager{k: k}
-	s.pool.New = func() any { return k.newRow() }
+	s.pool.New = func() any { return newSessionState(k.newRow()) }
 	return s
 }
 
@@ -218,7 +218,8 @@ func (s *stager) RefLen() int  { return s.k.refLen() }
 // schedule must already be validated. Direct back-end sessions never wait
 // on a scheduler, so their extend hook is infallible.
 func (s *stager) newSession(stages []sdtw.Stage) *Session {
-	row := s.pool.Get().(dpRow)
+	ps := s.pool.Get().(*sessionState)
+	row := ps.row
 	row.Reset()
 	extend := func(row dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		return s.k.extend(row, chunk, st), nil
@@ -231,7 +232,7 @@ func (s *stager) newSession(stages []sdtw.Stage) *Session {
 			return extendSharded(plan, chunk, haloA, haloB, st), nil
 		}
 	}
-	return newSession(stages, row, extend, func(r dpRow) { s.pool.Put(r) })
+	return newSession(stages, ps, extend, func(ps *sessionState) { s.pool.Put(ps) })
 }
 
 // NewSession starts an incremental classification of one read.

@@ -33,9 +33,9 @@ type Pipeline struct {
 	// kernel (nil for back-ends this package did not build). It prices
 	// scheduler tasks so utilization and deadlines are meaningful.
 	svc func(chunkSamples int) time.Duration
-	// rows pools DP rows for sessions, which outlive any one instance
-	// borrow (the session parks its row like the hardware parks rows in
-	// DRAM between stages).
+	// rows pools sessions' DP rows and staging buffers, which outlive any
+	// one instance borrow (the session parks its row like the hardware
+	// parks rows in DRAM between stages).
 	rows sync.Pool
 	// shardWidth > 0 selects the sharded execution path (SetShards): one
 	// read's DP row splits into reference shards and (shard, block) tasks
@@ -101,9 +101,9 @@ func NewPipeline(factory func() (Backend, error), instances int, stages []sdtw.S
 			return nil, err
 		}
 		p.svc = st.k.serviceTime
-		p.rows.New = func() any { return st.k.newRow() }
+		p.rows.New = func() any { return newSessionState(st.k.newRow()) }
 	} else {
-		p.rows.New = func() any { return sdtw.NewRow(refLen) }
+		p.rows.New = func() any { return newSessionState(sdtw.NewRow(refLen)) }
 	}
 	return p, nil
 }
@@ -258,7 +258,8 @@ func (p *Pipeline) NewSessionContext(ctx context.Context) (*Session, error) {
 	if !p.sessionable {
 		return nil, fmt.Errorf("engine: pipeline back-ends do not support incremental sessions")
 	}
-	row := p.rows.Get().(dpRow)
+	ps := p.rows.Get().(*sessionState)
+	row := ps.row
 	row.Reset()
 	extend := func(row dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		var r sdtw.IntResult
@@ -271,7 +272,7 @@ func (p *Pipeline) NewSessionContext(ctx context.Context) (*Session, error) {
 		plan := p.insts[0].(*stager).k.(shardKernel).shardRow(row, p.shardWidth)
 		extend = p.shardedExtend(ctx, plan)
 	}
-	return newSession(p.stages, row, extend, func(r dpRow) { p.rows.Put(r) }), nil
+	return newSession(p.stages, ps, extend, func(ps *sessionState) { p.rows.Put(ps) }), nil
 }
 
 // shardedExtend builds a session extend hook that schedules one chunk's

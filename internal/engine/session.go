@@ -39,11 +39,16 @@ type Session struct {
 	// for the duration of the call and errors when the session's context
 	// is cancelled while waiting.
 	extend func(row dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error)
-	// release returns the DP row to its pool once the session is decided.
-	release func(dpRow)
+	// release returns the pooled state to its pool once the session is
+	// decided.
+	release func(*sessionState)
 
+	// st is the pooled state row, buf and norm were taken from; finish
+	// hands them back through it.
+	st       *sessionState
 	row      dpRow
 	buf      []int16 // raw samples of the current incomplete stage chunk
+	norm     []int8  // normalized stage chunk, reused across stages
 	consumed int     // samples already normalized and extended
 	stage    int     // next stage to evaluate
 	res      Result
@@ -51,13 +56,27 @@ type Session struct {
 	err      error
 }
 
-func newSession(stages []sdtw.Stage, row dpRow,
-	extend func(dpRow, []int8, *Stats) (sdtw.IntResult, error), release func(dpRow)) *Session {
+// sessionState is what a session borrows from its back-end's pool for one
+// read: the resumable DP row and the two staging buffers, which share the
+// row's lifetime so a warm back-end serves reads without allocating them.
+type sessionState struct {
+	row  dpRow
+	buf  []int16
+	norm []int8
+}
+
+func newSessionState(row dpRow) any { return &sessionState{row: row} }
+
+func newSession(stages []sdtw.Stage, ps *sessionState,
+	extend func(dpRow, []int8, *Stats) (sdtw.IntResult, error), release func(*sessionState)) *Session {
 	return &Session{
 		stages:  stages,
 		extend:  extend,
 		release: release,
-		row:     row,
+		st:      ps,
+		row:     ps.row,
+		buf:     ps.buf[:0],
+		norm:    ps.norm,
 		res:     Result{Decision: sdtw.Continue, EndPos: -1},
 	}
 }
@@ -192,8 +211,8 @@ func (s *Session) SamplesBuffered() int { return len(s.buf) }
 // stage threshold. final marks the read's last signal, which makes this
 // stage terminal regardless of its position in the schedule.
 func (s *Session) runStage(raw []int16, final bool) {
-	chunk := normalize.ApplyInt8(raw)
-	r, err := s.extend(s.row, chunk, &s.res.Stats)
+	s.norm = normalize.ApplyInt8Into(s.norm, raw)
+	r, err := s.extend(s.row, s.norm, &s.res.Stats)
 	if err != nil {
 		// The session's context was cancelled while waiting for an
 		// instance: abandon without a decision. The verdict stays
@@ -226,12 +245,16 @@ func (s *Session) runStage(raw []int16, final bool) {
 	}
 }
 
-// finish marks the session decided and returns the DP row to its pool.
+// finish marks the session decided and returns the DP row and staging
+// buffers (kept at their grown capacity) to the pool.
 func (s *Session) finish() {
 	s.done = true
-	s.buf = nil
-	if s.release != nil && s.row != nil {
-		s.release(s.row)
-		s.row = nil
+	if s.st != nil {
+		s.st.buf, s.st.norm = s.buf[:0], s.norm[:0]
+		if s.release != nil {
+			s.release(s.st)
+		}
+		s.st = nil
 	}
+	s.row, s.buf, s.norm = nil, nil, nil
 }

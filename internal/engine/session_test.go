@@ -269,7 +269,7 @@ func instrumentedSession(t *testing.T, ref []int8, stages []sdtw.Stage, releases
 	extend := func(row dpRow, chunk []int8, stats *Stats) (sdtw.IntResult, error) {
 		return st.k.extend(row, chunk, stats), nil
 	}
-	return newSession(stages, row, extend, func(dpRow) { *releases++ })
+	return newSession(stages, &sessionState{row: row}, extend, func(*sessionState) { *releases++ })
 }
 
 // TestSessionLeftoverPastLastStage: a chunk that crosses the last stage

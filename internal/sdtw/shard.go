@@ -53,6 +53,17 @@ func (h *Halo) Reserve(n int) {
 // Len returns the number of entries the halo currently holds.
 func (h *Halo) Len() int { return len(h.Cost) }
 
+// Sweep names the 32-bit row sweep ExtendShard runs in this process:
+// "int32/avx2" where the CPU and OS support the vector strip, otherwise
+// "int32/scalar". It is fixed at start-up, so a timing can be tied to the
+// path that produced it.
+func Sweep() string {
+	if haveAVX2 {
+		return "int32/avx2"
+	}
+	return "int32/scalar"
+}
+
 // ExtendShard consumes query samples for one reference shard, updating
 // shard (whose Cost/Run cover exactly the shard's columns) in place, and
 // returns the best cost over the shard with EndPos local to it.
@@ -68,9 +79,11 @@ func (h *Halo) Len() int { return len(h.Cost) }
 // This is the one blocked inner loop every engine shares: Extend is
 // ExtendShard over a single full-width shard, so sharded and unsharded
 // classification are bit-identical by construction. The per-cell strips
-// live in sweep.go (branchless, 4-wide unrolled, bounds-check-free); the
-// end-of-extension row minimum rides the final sample's sweep instead of
-// costing a separate full-row pass per call.
+// live in sweep.go (branchless, 4-wide unrolled, bounds-check-free), with
+// an AVX2 strip under every row but the last where the CPU has one
+// (sweep_amd64.s); the end-of-extension row minimum rides the final
+// sample's scalar sweep instead of costing a separate full-row pass per
+// call.
 func ExtendShard(shard *Row, query []int8, refShard []int8, cfg IntConfig, haloIn, haloOut *Halo) IntResult {
 	m := len(refShard)
 	if m != shard.Len() {
@@ -145,7 +158,7 @@ func ExtendShard(shard *Row, query []int8, refShard []int8, cfg IntConfig, haloI
 				best = IntResult{Cost: bc, EndPos: bp}
 			}
 		} else {
-			sweepRow(cost, run, ref, q, diagCost, diagRun, bonus, cap_, one)
+			sweepRowDispatch(cost, run, ref, q, diagCost, diagRun, bonus, cap_, one)
 		}
 	}
 	shard.Samples += n

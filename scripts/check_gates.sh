@@ -15,6 +15,7 @@ cd "$(dirname "$0")/.."
 #   pruning never changes the winner.
 # - Sharding: sharded sw/hw rows stay bit-identical to the unsharded
 #   kernel at every layer.
+# - Vector strip: the AVX2 row sweep is bit-identical to the scalar one.
 # - Scheduler: every concurrency path dispatches through
 #   internal/engine/sched with verdicts identical to serial
 #   classification, mixed load stays deadlock-free on one instance, the
@@ -31,7 +32,7 @@ cd "$(dirname "$0")/.."
 #   slot per reference, and the flow cell prices the batched tier.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
-./internal/sdtw TestShardedRowMatchesExtend
+./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
 ./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
 ./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestClassifyStreamCancelled TestSessionFeedCancelled
