@@ -176,7 +176,7 @@ func main() {
 	threshold := flag.Int("threshold", 0, "ejection threshold (0 = calibrate on ground truth; panel mode defaults to 3/sample)")
 	prefix := flag.Int("prefix", 2000, "prefix samples per decision")
 	backend := flag.String("backend", "sw", "classification backend: sw, hw, or gpu")
-	kernelName := flag.String("kernel", "int32", "software DP cell layout: int32 (reference) or int16 (packed saturating cells, same verdicts); hw and gpu ignore it")
+	kernelName := flag.String("kernel", "int32", "software DP cell layout: int32 (reference, AVX2 sweep where available) or int16 (packed saturating cells, same verdicts, scalar-only and currently slower); hw and gpu ignore it")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size batch reads (and each read's shards) are scheduled across, for any backend")
 	shards := flag.Int("shards", 1, "reference shards per read: intra-read parallelism on sw, cooperating tiles on hw (1 = unsharded)")
 	stream := flag.Bool("stream", false, "replay reads through incremental sessions on the selected backend's instance pool")

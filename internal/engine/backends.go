@@ -17,7 +17,8 @@ import (
 // produce identical verdicts on any schedule the 16-bit kernel admits
 // (every threshold at or below sdtw.Sat16MaxThreshold — enforced by the
 // kernel's stage validation); the 16-bit kernel moves 7 bytes of DP-row
-// traffic per cell instead of 17.
+// traffic per cell instead of 17, but its sweep is scalar-only, so it is
+// the slower of the two wherever the 32-bit AVX2 sweep runs.
 type KernelKind int
 
 const (
@@ -92,64 +93,95 @@ func newSoftwareKernel(ref []int8, cfg sdtw.IntConfig, kind KernelKind) (kernel,
 	}
 	switch kind {
 	case Kernel32:
-		return &swKernel{ref: ref, cfg: cfg}, nil
+		return &swKernel[int32, int32]{label: "sw", ref: ref, cfg: cfg,
+			validate: sdtw.ValidateStages, ext: sdtw.ExtendShard, cellSeconds: swCellSeconds}, nil
 	case Kernel16:
-		return &sw16Kernel{ref: ref, cfg: cfg}, nil
+		return &swKernel[int16, int8]{label: "sw16", ref: ref, cfg: cfg,
+			validate: sdtw.ValidateStages16, ext: sdtw.ExtendShard16, cellSeconds: sw16CellSeconds}, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown kernel kind %d", int(kind))
 	}
 }
 
-type swKernel struct {
-	ref []int8
-	cfg sdtw.IntConfig
+// swKernel is the software kernel over one DP cell layout: sdtw.Row for
+// the 32-bit reference cells ("sw"), sdtw.Row16 for the packed 16-bit
+// saturating cells ("sw16"). The width-specific parts are fixed at
+// construction (newSoftwareKernel): the stage validator — the 16-bit one
+// bounds thresholds by the saturation ceiling — the per-shard sweep, and
+// the calibrated cell rate.
+type swKernel[C sdtw.CostCell, R sdtw.RunCell] struct {
+	label       string
+	ref         []int8
+	cfg         sdtw.IntConfig
+	validate    func([]sdtw.Stage) error
+	ext         sdtw.ShardExtend[C, R]
+	cellSeconds func() float64
 }
 
-func (k *swKernel) name() string  { return "sw" }
-func (k *swKernel) refLen() int   { return len(k.ref) }
-func (k *swKernel) newRow() dpRow { return sdtw.NewRow(len(k.ref)) }
-
-func (k *swKernel) validateStages(stages []sdtw.Stage) error {
-	return sdtw.ValidateStages(stages)
+func (k *swKernel[C, R]) name() string { return k.label }
+func (k *swKernel[C, R]) refLen() int  { return len(k.ref) }
+func (k *swKernel[C, R]) newRow() dpRow {
+	return &sdtw.Rows[C, R]{Cost: make([]C, len(k.ref)), Run: make([]R, len(k.ref))}
 }
 
-func (k *swKernel) extend(row dpRow, chunk []int8, _ *Stats) sdtw.IntResult {
-	return sdtw.Extend(row.(*sdtw.Row), chunk, k.ref, k.cfg)
+func (k *swKernel[C, R]) validateStages(stages []sdtw.Stage) error {
+	return k.validate(stages)
 }
 
-func (k *swKernel) shardRow(row dpRow, width int) shardPlan {
-	return swPlan{k: k, sr: sdtw.ShardRow(row.(*sdtw.Row), width)}
+// extend runs the per-shard sweep over a single shard spanning the whole
+// reference, which is exactly sdtw.Extend / sdtw.Extend16.
+func (k *swKernel[C, R]) extend(row dpRow, chunk []int8, _ *Stats) sdtw.IntResult {
+	return k.ext(row.(*sdtw.Rows[C, R]), chunk, k.ref, k.cfg, nil, nil)
 }
 
-func (k *swKernel) newHalo() any { return &sdtw.Halo{} }
-
-// swPlan shards a 32-bit row for the sw kernel.
-type swPlan struct {
-	k  *swKernel
-	sr *sdtw.ShardedRow
+func (k *swKernel[C, R]) shardRow(row dpRow, width int) shardPlan {
+	return swPlan[C, R]{k: k, sr: sdtw.ShardRow(row.(*sdtw.Rows[C, R]), width)}
 }
 
-func (p swPlan) numShards() int          { return p.sr.NumShards() }
-func (p swPlan) bounds(k int) (int, int) { return p.sr.Bounds(k) }
-func (p swPlan) advance(n int)           { p.sr.Row().Samples += n }
-func (p swPlan) extendShard(k int, chunk []int8, haloIn, haloOut any, _ *Stats) sdtw.IntResult {
+func (k *swKernel[C, R]) newHalo() any { return &sdtw.HaloOf[C, R]{} }
+
+func (k *swKernel[C, R]) serviceTime(chunkSamples int) time.Duration {
+	if chunkSamples <= 0 {
+		return 0
+	}
+	cells := float64(chunkSamples) * float64(len(k.ref))
+	return time.Duration(cells * k.cellSeconds() * float64(time.Second))
+}
+
+// swPlan shards a row of the software kernel's cell layout.
+type swPlan[C sdtw.CostCell, R sdtw.RunCell] struct {
+	k  *swKernel[C, R]
+	sr *sdtw.Sharded[C, R]
+}
+
+func (p swPlan[C, R]) numShards() int          { return p.sr.NumShards() }
+func (p swPlan[C, R]) bounds(k int) (int, int) { return p.sr.Bounds(k) }
+func (p swPlan[C, R]) advance(n int)           { p.sr.Row().Samples += n }
+func (p swPlan[C, R]) extendShard(k int, chunk []int8, haloIn, haloOut any, _ *Stats) sdtw.IntResult {
 	lo, hi := p.sr.Bounds(k)
-	var in, out *sdtw.Halo
+	var in, out *sdtw.HaloOf[C, R]
 	if haloIn != nil {
-		in = haloIn.(*sdtw.Halo)
+		in = haloIn.(*sdtw.HaloOf[C, R])
 	}
 	if haloOut != nil {
-		out = haloOut.(*sdtw.Halo)
+		out = haloOut.(*sdtw.HaloOf[C, R])
 	}
-	return sdtw.ExtendShard(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, in, out)
+	return p.k.ext(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, in, out)
+}
+
+func (p swPlan[C, R]) extend(chunk []int8) sdtw.IntResult {
+	return p.sr.Extend(chunk, p.k.ref, p.k.cfg, p.k.ext)
 }
 
 // calibrateCellSeconds times one chunk extension of a freshly built DP
 // row over synthetic data and returns the best-of-reps seconds-per-cell —
 // the way a deployment would calibrate the software classifier against
 // its own host before promising a real-time channel count. Each cell
-// layout calibrates its own rate through its own extend function.
-func calibrateCellSeconds(extend func(chunk, ref []int8, cfg sdtw.IntConfig)) float64 {
+// layout calibrates its own rate through its own sweep: the layouts have
+// different per-cell costs (packed loads, saturating stores), and the
+// scheduler's deadline accounting — and the flow-cell keep-up verdict
+// built on it — must see the real per-kernel rate.
+func calibrateCellSeconds[C sdtw.CostCell, R sdtw.RunCell](ext sdtw.ShardExtend[C, R]) float64 {
 	const (
 		calRef   = 4096
 		calChunk = 256
@@ -165,10 +197,12 @@ func calibrateCellSeconds(extend func(chunk, ref []int8, cfg sdtw.IntConfig)) fl
 		chunk[i] = int8(rng.Intn(256) - 128)
 	}
 	cfg := sdtw.DefaultIntConfig()
+	row := &sdtw.Rows[C, R]{Cost: make([]C, calRef), Run: make([]R, calRef)}
 	best := math.MaxFloat64
 	for r := 0; r < reps; r++ {
+		row.Reset()
 		start := time.Now()
-		extend(chunk, ref, cfg)
+		ext(row, chunk, ref, cfg, nil, nil)
 		if s := time.Since(start).Seconds() / (calRef * calChunk); s < best {
 			best = s
 		}
@@ -176,91 +210,13 @@ func calibrateCellSeconds(extend func(chunk, ref []int8, cfg sdtw.IntConfig)) fl
 	return best
 }
 
-// swCellSeconds is the self-calibrated 32-bit software DP rate in seconds
-// per cell, measured once per process.
-var swCellSeconds = sync.OnceValue(func() float64 {
-	row := sdtw.NewRow(4096)
-	return calibrateCellSeconds(func(chunk, ref []int8, cfg sdtw.IntConfig) {
-		row.Reset()
-		sdtw.Extend(row, chunk, ref, cfg)
-	})
-})
-
-// sw16CellSeconds is swCellSeconds for the packed 16-bit kernel: the two
-// kernels have different per-cell costs (packed loads, saturating
-// stores), so each calibrates independently and the scheduler's deadline
-// accounting — and the flow-cell keep-up verdict built on it — sees the
-// real per-kernel rate.
-var sw16CellSeconds = sync.OnceValue(func() float64 {
-	row := sdtw.NewRow16(4096)
-	return calibrateCellSeconds(func(chunk, ref []int8, cfg sdtw.IntConfig) {
-		row.Reset()
-		sdtw.Extend16(row, chunk, ref, cfg)
-	})
-})
-
-func (k *swKernel) serviceTime(chunkSamples int) time.Duration {
-	if chunkSamples <= 0 {
-		return 0
-	}
-	cells := float64(chunkSamples) * float64(len(k.ref))
-	return time.Duration(cells * swCellSeconds() * float64(time.Second))
-}
-
-// sw16Kernel is the packed 16-bit saturating software kernel: the same
-// staged classification as swKernel over sdtw.Row16 state, with stage
-// validation bounding thresholds by the saturation ceiling.
-type sw16Kernel struct {
-	ref []int8
-	cfg sdtw.IntConfig
-}
-
-func (k *sw16Kernel) name() string  { return "sw16" }
-func (k *sw16Kernel) refLen() int   { return len(k.ref) }
-func (k *sw16Kernel) newRow() dpRow { return sdtw.NewRow16(len(k.ref)) }
-
-func (k *sw16Kernel) validateStages(stages []sdtw.Stage) error {
-	return sdtw.ValidateStages16(stages)
-}
-
-func (k *sw16Kernel) extend(row dpRow, chunk []int8, _ *Stats) sdtw.IntResult {
-	return sdtw.Extend16(row.(*sdtw.Row16), chunk, k.ref, k.cfg)
-}
-
-func (k *sw16Kernel) shardRow(row dpRow, width int) shardPlan {
-	return sw16Plan{k: k, sr: sdtw.ShardRow16(row.(*sdtw.Row16), width)}
-}
-
-func (k *sw16Kernel) newHalo() any { return &sdtw.Halo16{} }
-
-func (k *sw16Kernel) serviceTime(chunkSamples int) time.Duration {
-	if chunkSamples <= 0 {
-		return 0
-	}
-	cells := float64(chunkSamples) * float64(len(k.ref))
-	return time.Duration(cells * sw16CellSeconds() * float64(time.Second))
-}
-
-// sw16Plan shards a packed 16-bit row for the sw16 kernel.
-type sw16Plan struct {
-	k  *sw16Kernel
-	sr *sdtw.ShardedRow16
-}
-
-func (p sw16Plan) numShards() int          { return p.sr.NumShards() }
-func (p sw16Plan) bounds(k int) (int, int) { return p.sr.Bounds(k) }
-func (p sw16Plan) advance(n int)           { p.sr.Row().Samples += n }
-func (p sw16Plan) extendShard(k int, chunk []int8, haloIn, haloOut any, _ *Stats) sdtw.IntResult {
-	lo, hi := p.sr.Bounds(k)
-	var in, out *sdtw.Halo16
-	if haloIn != nil {
-		in = haloIn.(*sdtw.Halo16)
-	}
-	if haloOut != nil {
-		out = haloOut.(*sdtw.Halo16)
-	}
-	return sdtw.ExtendShard16(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, in, out)
-}
+// swCellSeconds and sw16CellSeconds are the self-calibrated software DP
+// rates in seconds per cell for the 32-bit and packed 16-bit layouts,
+// each measured once per process.
+var (
+	swCellSeconds   = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.ExtendShard) })
+	sw16CellSeconds = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.ExtendShard16) })
+)
 
 // NewHardware returns the cycle-accurate systolic-tile back-end. Costs and
 // decisions are bit-identical to the software back-end; Stats additionally

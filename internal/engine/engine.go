@@ -145,9 +145,15 @@ type shardPlan interface {
 	// newHalo). Implementations must be safe for concurrent calls on
 	// disjoint shards — the pipeline's wavefront scheduler relies on it.
 	extendShard(k int, chunk []int8, haloIn, haloOut any, st *Stats) sdtw.IntResult
-	// advance records n consumed query samples on the backing row after a
-	// chunk has run on every shard.
+	// advance records n consumed query samples on the backing row after
+	// the wavefront has run a chunk on every shard.
 	advance(n int)
+	// extend runs one normalized chunk through every shard serially, left
+	// to right, halos chaining through sdtw's one serial loop
+	// (Sharded.ExtendWith) — the cache-blocked path: each shard's working
+	// set stays cache-resident for the whole chunk. It advances the
+	// backing row itself.
+	extend(chunk []int8) sdtw.IntResult
 }
 
 // shardKernel is a kernel whose reference dimension can be partitioned:
@@ -162,7 +168,7 @@ type shardKernel interface {
 	// shardRow wraps one of this kernel's rows in width-column shard views.
 	shardRow(row dpRow, width int) shardPlan
 	// newHalo mints an empty boundary trace of this kernel's halo type,
-	// for pooling and ping-pong reuse by the callers of extendShard.
+	// for the pipeline wavefront's halo pool.
 	newHalo() any
 }
 
@@ -185,32 +191,6 @@ func newStager(k kernel) *stager {
 	return s
 }
 
-// extendSharded runs one chunk through every shard serially, left to
-// right: shard k consumes the whole chunk (its ~shard-sized working set
-// stays cache-resident) before shard k+1 starts from k's recorded halo
-// trace. haloA/haloB are two newHalo values ping-ponged between adjacent
-// boundaries — a shard's input halo is only needed until its own output
-// is recorded, so two buffers serve any shard count.
-func extendSharded(plan shardPlan, chunk []int8, haloA, haloB any, st *Stats) sdtw.IntResult {
-	S := plan.numShards()
-	best := sdtw.IntResult{EndPos: -1}
-	var in any
-	for k := 0; k < S; k++ {
-		var out any
-		if k < S-1 {
-			out = haloA
-			if k%2 == 1 {
-				out = haloB
-			}
-		}
-		lo, _ := plan.bounds(k)
-		best = sdtw.MergeShardResult(best, plan.extendShard(k, chunk, in, out, st), lo)
-		in = out
-	}
-	plan.advance(len(chunk))
-	return best
-}
-
 func (s *stager) Name() string { return s.k.name() }
 func (s *stager) RefLen() int  { return s.k.refLen() }
 
@@ -225,11 +205,9 @@ func (s *stager) newSession(stages []sdtw.Stage) *Session {
 		return s.k.extend(row, chunk, st), nil
 	}
 	if s.shardWidth > 0 {
-		sk := s.k.(shardKernel)
-		plan := sk.shardRow(row, s.shardWidth)
-		haloA, haloB := sk.newHalo(), sk.newHalo()
-		extend = func(_ dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error) {
-			return extendSharded(plan, chunk, haloA, haloB, st), nil
+		plan := s.k.(shardKernel).shardRow(row, s.shardWidth)
+		extend = func(_ dpRow, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
+			return plan.extend(chunk), nil
 		}
 	}
 	return newSession(stages, ps, extend, func(ps *sessionState) { s.pool.Put(ps) })

@@ -35,21 +35,34 @@ func DefaultIntConfig() IntConfig {
 	return IntConfig{MatchBonus: DefaultMatchBonus, BonusCap: DefaultBonusCap}
 }
 
-// Row is the DP state after some number of query samples: per reference
+// Rows is the DP state after some number of query samples: per reference
 // position, the best alignment cost ending there (Cost) and the dwell
 // counter feeding the match bonus (Run — the number of query samples the
 // best path aligns to that position, clamped at the bonus cap since larger
-// values behave identically). A fresh Row (NewRow) encodes the subsequence
+// values behave identically). A fresh row encodes the subsequence
 // free-start boundary: zero cost everywhere with zero run length.
 //
-// This row is exactly what the accelerator's last PE streams to DRAM in
-// multi-stage mode.
-type Row struct {
-	Cost []int32
-	Run  []int32
+// The container is generic over the cell layout so that only the sweeps
+// are width-specific: Row is the 32-bit reference layout, Row16 the packed
+// 16-bit saturating one (int16.go). Either is exactly what the
+// accelerator's last PE streams to DRAM in multi-stage mode.
+type Rows[C CostCell, R RunCell] struct {
+	Cost []C
+	Run  []R
 	// Samples counts the query samples consumed so far.
 	Samples int
 }
+
+// CostCell is the stored type of a DP cost cell: int32 for the reference
+// kernel, int16 for the packed saturating one.
+type CostCell interface{ int32 | int16 }
+
+// RunCell is the stored type of a dwell counter: int32 beside int32 costs,
+// int8 in the packed layout.
+type RunCell interface{ int32 | int8 }
+
+// Row is the 32-bit reference row: int32 cost, int32 run.
+type Row = Rows[int32, int32]
 
 // NewRow returns the boundary row for a reference of length m.
 func NewRow(m int) *Row {
@@ -57,7 +70,7 @@ func NewRow(m int) *Row {
 }
 
 // Len returns the reference length the row covers.
-func (r *Row) Len() int { return len(r.Cost) }
+func (r *Rows[C, R]) Len() int { return len(r.Cost) }
 
 // Reset returns the row to the boundary state (zero cost and run
 // everywhere, no samples consumed) so it can be reused for another read
@@ -66,7 +79,7 @@ func (r *Row) Len() int { return len(r.Cost) }
 // folded into clear calls, which lower to one memclr per slice; fusing
 // them into a single interleaved loop instead measures ~5x slower because
 // it defeats that idiom (see BenchmarkRowReset).
-func (r *Row) Reset() {
+func (r *Rows[C, R]) Reset() {
 	clear(r.Cost)
 	clear(r.Run)
 	r.Samples = 0
@@ -74,10 +87,10 @@ func (r *Row) Reset() {
 
 // Clone deep-copies the row (stages snapshot their state before
 // continuing).
-func (r *Row) Clone() *Row {
-	out := &Row{
-		Cost:    make([]int32, len(r.Cost)),
-		Run:     make([]int32, len(r.Run)),
+func (r *Rows[C, R]) Clone() *Rows[C, R] {
+	out := &Rows[C, R]{
+		Cost:    make([]C, len(r.Cost)),
+		Run:     make([]R, len(r.Run)),
 		Samples: r.Samples,
 	}
 	copy(out.Cost, r.Cost)

@@ -49,70 +49,22 @@ const (
 )
 
 // Row16 is the packed 16-bit DP state: per reference position a saturating
-// 16-bit alignment cost and an 8-bit dwell counter. It is the Row of the
-// 16-bit kernel — same boundary encoding (zero cost, zero run), same
+// 16-bit alignment cost and an 8-bit dwell counter — the same container as
+// Row, with the same boundary encoding (zero cost, zero run) and the same
 // resume-from-saved-row staging.
-type Row16 struct {
-	Cost []int16
-	Run  []int8
-	// Samples counts the query samples consumed so far.
-	Samples int
-}
+type Row16 = Rows[int16, int8]
+
+// Halo16 is the packed kernel's halo: the same chaining protocol as Halo.
+type Halo16 = HaloOf[int16, int8]
+
+// ShardedRow16 is the sharded packed row; its serial blocked extension is
+// Extend(query, ref, cfg, ExtendShard16).
+type ShardedRow16 = Sharded[int16, int8]
 
 // NewRow16 returns the boundary row for a reference of length m.
 func NewRow16(m int) *Row16 {
 	return &Row16{Cost: make([]int16, m), Run: make([]int8, m)}
 }
-
-// Len returns the reference length the row covers.
-func (r *Row16) Len() int { return len(r.Cost) }
-
-// Reset returns the row to the boundary state for pool reuse, one memclr
-// per slice exactly as Row.Reset.
-func (r *Row16) Reset() {
-	clear(r.Cost)
-	clear(r.Run)
-	r.Samples = 0
-}
-
-// Clone deep-copies the row.
-func (r *Row16) Clone() *Row16 {
-	out := &Row16{
-		Cost:    make([]int16, len(r.Cost)),
-		Run:     make([]int8, len(r.Run)),
-		Samples: r.Samples,
-	}
-	copy(out.Cost, r.Cost)
-	copy(out.Run, r.Run)
-	return out
-}
-
-// Halo16 is the 16-bit kernel's K-deep edge-column trace (see Halo): the
-// same chaining protocol with the packed cell layout.
-type Halo16 struct {
-	Cost []int16
-	Run  []int8
-}
-
-// NewHalo16 returns a halo with capacity for n query samples.
-func NewHalo16(n int) *Halo16 {
-	return &Halo16{Cost: make([]int16, n), Run: make([]int8, n)}
-}
-
-// Reserve resizes the halo to exactly n entries, reallocating only on
-// growth.
-func (h *Halo16) Reserve(n int) {
-	if cap(h.Cost) < n {
-		h.Cost = make([]int16, n)
-		h.Run = make([]int8, n)
-		return
-	}
-	h.Cost = h.Cost[:n]
-	h.Run = h.Run[:n]
-}
-
-// Len returns the number of entries the halo currently holds.
-func (h *Halo16) Len() int { return len(h.Cost) }
 
 // sat16 clamps an int32 cell value into the storable int16 range. The
 // operands feeding v are themselves stored cells (>= sat16Min) adjusted by
@@ -271,97 +223,4 @@ func Extend16(row *Row16, query []int8, ref []int8, cfg IntConfig) IntResult {
 func IntDP16(query, ref []int8, cfg IntConfig) IntResult {
 	row := NewRow16(len(ref))
 	return Extend16(row, query, ref, cfg)
-}
-
-// ShardedRow16 is ShardedRow for the packed row: fixed-width shard views
-// aliasing one backing Row16, with Halo16 ping-pong buffers for the serial
-// blocked extension.
-type ShardedRow16 struct {
-	row    *Row16
-	width  int
-	shards []Row16
-	bounds []int
-	haloA  Halo16
-	haloB  Halo16
-}
-
-// ShardRow16 wraps an existing packed row in shard views of the given
-// width, with the same clamping rules as ShardRow.
-func ShardRow16(row *Row16, width int) *ShardedRow16 {
-	m := row.Len()
-	if m == 0 {
-		panic("sdtw: cannot shard an empty row")
-	}
-	if width < 1 || width > m {
-		width = m
-	}
-	n := (m + width - 1) / width
-	sr := &ShardedRow16{row: row, width: width, shards: make([]Row16, n), bounds: make([]int, n+1)}
-	for k := 0; k < n; k++ {
-		lo := k * width
-		hi := lo + width
-		if hi > m {
-			hi = m
-		}
-		sr.shards[k] = Row16{Cost: row.Cost[lo:hi:hi], Run: row.Run[lo:hi:hi], Samples: row.Samples}
-		sr.bounds[k] = lo
-	}
-	sr.bounds[n] = m
-	return sr
-}
-
-// NewShardedRow16 builds a fresh packed boundary row of length m pre-split
-// into width-column shards.
-func NewShardedRow16(m, width int) *ShardedRow16 {
-	return ShardRow16(NewRow16(m), width)
-}
-
-// Row returns the backing full-length row.
-func (sr *ShardedRow16) Row() *Row16 { return sr.row }
-
-// NumShards returns the shard count.
-func (sr *ShardedRow16) NumShards() int { return len(sr.shards) }
-
-// Width returns the configured shard width.
-func (sr *ShardedRow16) Width() int { return sr.width }
-
-// Shard returns the k-th shard view.
-func (sr *ShardedRow16) Shard(k int) *Row16 { return &sr.shards[k] }
-
-// Bounds returns the k-th shard's half-open global column range [lo, hi).
-func (sr *ShardedRow16) Bounds(k int) (lo, hi int) {
-	return sr.bounds[k], sr.bounds[k+1]
-}
-
-// ExtendWith is ShardedRow.ExtendWith for the packed row: the same serial
-// halo-chaining loop with Halo16 buffers.
-func (sr *ShardedRow16) ExtendWith(n int, fn func(k, lo int, shard *Row16, haloIn, haloOut *Halo16) IntResult) IntResult {
-	best := IntResult{EndPos: -1}
-	var in *Halo16
-	for k := range sr.shards {
-		lo := sr.bounds[k]
-		var out *Halo16
-		if k < len(sr.shards)-1 {
-			out = &sr.haloA
-			if k%2 == 1 {
-				out = &sr.haloB
-			}
-		}
-		best = MergeShardResult(best, fn(k, lo, &sr.shards[k], in, out), lo)
-		in = out
-	}
-	sr.row.Samples += n
-	return best
-}
-
-// Extend consumes query samples across every shard — the cache-blocked
-// 16-bit kernel, bit-identical to Extend16 on the same inputs (property-
-// tested in int16_test.go).
-func (sr *ShardedRow16) Extend(query []int8, ref []int8, cfg IntConfig) IntResult {
-	if len(ref) != sr.row.Len() {
-		panic("sdtw: row/reference length mismatch")
-	}
-	return sr.ExtendWith(len(query), func(_, lo int, shard *Row16, haloIn, haloOut *Halo16) IntResult {
-		return ExtendShard16(shard, query, ref[lo:lo+shard.Len()], cfg, haloIn, haloOut)
-	})
 }

@@ -227,12 +227,12 @@ func TestSharded16MatchesUnsharded16(t *testing.T) {
 		}
 
 		plain := NewRow16(m)
-		sharded := NewShardedRow16(m, width)
+		sharded := ShardRow(NewRow16(m), width)
 		for _, c := range randChunks(rng, n) {
 			chunk := query[:c]
 			query = query[c:]
 			want := Extend16(plain, chunk, ref, cfg)
-			got := sharded.Extend(chunk, ref, cfg)
+			got := sharded.Extend(chunk, ref, cfg, ExtendShard16)
 			if got != want {
 				t.Logf("width %d: sharded %+v != plain %+v", width, got, want)
 				return false
@@ -267,7 +267,7 @@ func TestExtendShard16HaloChaining(t *testing.T) {
 	cfg := DefaultIntConfig()
 
 	plain := NewRow16(m)
-	sr := NewShardedRow16(m, width)
+	sr := ShardRow(NewRow16(m), width)
 	S := sr.NumShards()
 	remaining := query
 	for _, c := range randChunks(rng, n) {
@@ -277,7 +277,7 @@ func TestExtendShard16HaloChaining(t *testing.T) {
 
 		halos := make([]*Halo16, S-1)
 		for k := range halos {
-			halos[k] = NewHalo16(len(chunk))
+			halos[k] = new(Halo16) // ExtendShard16 sizes its output halo
 		}
 		results := make([]IntResult, S)
 		var in *Halo16
@@ -341,10 +341,10 @@ func BenchmarkExtendShard16(b *testing.B) {
 	cfg := DefaultIntConfig()
 	bench := func(b *testing.B, width int) {
 		b.Helper()
-		sr := NewShardedRow16(m, width)
+		sr := ShardRow(NewRow16(m), width)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sr.Extend(query, ref, cfg)
+			sr.Extend(query, ref, cfg, ExtendShard16)
 		}
 		b.StopTimer()
 		reportCellMetrics(b, n, m, row16CellBytes)

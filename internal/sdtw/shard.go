@@ -16,22 +16,26 @@ package sdtw
 //
 //   - cache blocking: walking one ~L2-sized shard through all K samples
 //     before moving right keeps the DP state hot instead of streaming the
-//     whole row per sample (ShardedRow.Extend is the blocked kernel);
+//     whole row per sample (Sharded.Extend is the blocked kernel);
 //   - intra-read parallelism: (shard, sample-block) tasks form a wavefront
 //     a worker pool can schedule (internal/engine's sharded pipeline path);
 //   - multi-tile hardware: each shard is one tile's reference buffer, the
 //     halo is what the tile's last PE streams to its right neighbour
 //     (internal/hw's TileGroup).
 
-// Halo is the K-deep edge-column trace exchanged between adjacent reference
-// shards: Cost[t] and Run[t] are the left shard's last-column DP state
-// after t query samples of the current extension (t = 0 is the state before
-// the extension began). In the accelerator this is exactly the stream a
-// tile's last PE produces, one cell per query row.
-type Halo struct {
-	Cost []int32
-	Run  []int32
+// HaloOf is the K-deep edge-column trace exchanged between adjacent
+// reference shards: Cost[t] and Run[t] are the left shard's last-column DP
+// state after t query samples of the current extension (t = 0 is the state
+// before the extension began), in the same cell layout as the rows it
+// couples. In the accelerator this is exactly the stream a tile's last PE
+// produces, one cell per query row.
+type HaloOf[C CostCell, R RunCell] struct {
+	Cost []C
+	Run  []R
 }
+
+// Halo is the 32-bit kernel's halo (Halo16 is the packed one).
+type Halo = HaloOf[int32, int32]
 
 // NewHalo returns a halo with capacity for n query samples.
 func NewHalo(n int) *Halo {
@@ -40,10 +44,10 @@ func NewHalo(n int) *Halo {
 
 // Reserve resizes the halo to exactly n entries, reallocating only when it
 // grows past capacity — halo buffers are reused across chunks and shards.
-func (h *Halo) Reserve(n int) {
+func (h *HaloOf[C, R]) Reserve(n int) {
 	if cap(h.Cost) < n {
-		h.Cost = make([]int32, n)
-		h.Run = make([]int32, n)
+		h.Cost = make([]C, n)
+		h.Run = make([]R, n)
 		return
 	}
 	h.Cost = h.Cost[:n]
@@ -51,7 +55,7 @@ func (h *Halo) Reserve(n int) {
 }
 
 // Len returns the number of entries the halo currently holds.
-func (h *Halo) Len() int { return len(h.Cost) }
+func (h *HaloOf[C, R]) Len() int { return len(h.Cost) }
 
 // Sweep names the 32-bit row sweep ExtendShard runs in this process:
 // "int32/avx2" where the CPU and OS support the vector strip, otherwise
@@ -170,21 +174,28 @@ func ExtendShard(shard *Row, query []int8, refShard []int8, cfg IntConfig, haloI
 	return best
 }
 
-// ShardedRow splits a Row's Cost/Run into fixed-width reference shards,
-// each a view aliasing the backing row's storage, so sharded and unsharded
+// Sharded splits a row's Cost/Run into fixed-width reference shards, each
+// a view aliasing the backing row's storage, so sharded and unsharded
 // extension read and write the very same cells. The backing row remains the
 // single source of truth: stage snapshots (Clone), pool reuse (Reset), and
 // the hardware DRAM row format are unchanged.
-type ShardedRow struct {
-	row    *Row
-	width  int
-	shards []Row
+type Sharded[C CostCell, R RunCell] struct {
+	row    *Rows[C, R]
+	shards []Rows[C, R]
 	bounds []int // len(shards)+1 column offsets
 	// haloA/haloB ping-pong between adjacent shard boundaries during the
 	// serial blocked Extend; shard k's output halo is shard k+1's input,
 	// after which the buffer is free again for shard k+2's output.
-	haloA, haloB Halo
+	haloA, haloB HaloOf[C, R]
 }
+
+// ShardedRow is the sharded 32-bit row (ShardedRow16 is the packed one).
+type ShardedRow = Sharded[int32, int32]
+
+// ShardExtend is the width-specific per-shard kernel a sharded row runs:
+// ExtendShard for Row, ExtendShard16 for Row16. Everything around it —
+// shard views, halo chaining, result merging — is shared.
+type ShardExtend[C CostCell, R RunCell] func(shard *Rows[C, R], query []int8, refShard []int8, cfg IntConfig, haloIn, haloOut *HaloOf[C, R]) IntResult
 
 // ShardWidth returns the balanced shard width for a reference of m columns
 // split into the given number of shards: ceil(m/shards), with shards
@@ -206,7 +217,7 @@ func ShardWidth(m, shards int) int {
 // ShardRow wraps an existing row in shard views of the given width. Width
 // is clamped to [1, row.Len()]; a width at or past the row length yields a
 // single shard, making the sharded path degrade to the plain kernel.
-func ShardRow(row *Row, width int) *ShardedRow {
+func ShardRow[C CostCell, R RunCell](row *Rows[C, R], width int) *Sharded[C, R] {
 	m := row.Len()
 	if m == 0 {
 		panic("sdtw: cannot shard an empty row")
@@ -215,14 +226,11 @@ func ShardRow(row *Row, width int) *ShardedRow {
 		width = m
 	}
 	n := (m + width - 1) / width
-	sr := &ShardedRow{row: row, width: width, shards: make([]Row, n), bounds: make([]int, n+1)}
+	sr := &Sharded[C, R]{row: row, shards: make([]Rows[C, R], n), bounds: make([]int, n+1)}
 	for k := 0; k < n; k++ {
 		lo := k * width
-		hi := lo + width
-		if hi > m {
-			hi = m
-		}
-		sr.shards[k] = Row{Cost: row.Cost[lo:hi:hi], Run: row.Run[lo:hi:hi], Samples: row.Samples}
+		hi := min(lo+width, m)
+		sr.shards[k] = Rows[C, R]{Cost: row.Cost[lo:hi:hi], Run: row.Run[lo:hi:hi], Samples: row.Samples}
 		sr.bounds[k] = lo
 	}
 	sr.bounds[n] = m
@@ -236,21 +244,17 @@ func NewShardedRow(m, width int) *ShardedRow {
 }
 
 // Row returns the backing full-length row.
-func (sr *ShardedRow) Row() *Row { return sr.row }
+func (sr *Sharded[C, R]) Row() *Rows[C, R] { return sr.row }
 
 // NumShards returns the shard count.
-func (sr *ShardedRow) NumShards() int { return len(sr.shards) }
-
-// Width returns the configured shard width (the last shard may be
-// narrower).
-func (sr *ShardedRow) Width() int { return sr.width }
+func (sr *Sharded[C, R]) NumShards() int { return len(sr.shards) }
 
 // Shard returns the k-th shard view. Extensions through the view update
 // the backing row in place.
-func (sr *ShardedRow) Shard(k int) *Row { return &sr.shards[k] }
+func (sr *Sharded[C, R]) Shard(k int) *Rows[C, R] { return &sr.shards[k] }
 
 // Bounds returns the k-th shard's half-open global column range [lo, hi).
-func (sr *ShardedRow) Bounds(k int) (lo, hi int) {
+func (sr *Sharded[C, R]) Bounds(k int) (lo, hi int) {
 	return sr.bounds[k], sr.bounds[k+1]
 }
 
@@ -273,16 +277,16 @@ func MergeShardResult(best IntResult, r IntResult, lo int) IntResult {
 // halo trace (haloOut, the ping-ponged haloA/haloB buffers) becomes shard
 // k+1's haloIn, per-shard bests fold through MergeShardResult, and the
 // backing row's sample count advances by n. This is the one serial
-// chaining loop every consumer shares — the software blocked kernel
-// (Extend below), the engine's kernel-generic stager path, and the
-// multi-tile hardware group all pass their own fn, so the halo protocol
-// cannot drift between them.
-func (sr *ShardedRow) ExtendWith(n int, fn func(k, lo int, shard *Row, haloIn, haloOut *Halo) IntResult) IntResult {
+// chaining loop every consumer shares — the software blocked kernel of
+// either cell width (Extend below, which the engine's serial sharded
+// path runs) and the multi-tile hardware group pass their own fn, so the
+// halo protocol cannot drift between them.
+func (sr *Sharded[C, R]) ExtendWith(n int, fn func(k, lo int, shard *Rows[C, R], haloIn, haloOut *HaloOf[C, R]) IntResult) IntResult {
 	best := IntResult{EndPos: -1}
-	var in *Halo
+	var in *HaloOf[C, R]
 	for k := range sr.shards {
 		lo := sr.bounds[k]
-		var out *Halo
+		var out *HaloOf[C, R]
 		if k < len(sr.shards)-1 {
 			out = &sr.haloA
 			if k%2 == 1 {
@@ -296,18 +300,20 @@ func (sr *ShardedRow) ExtendWith(n int, fn func(k, lo int, shard *Row, haloIn, h
 	return best
 }
 
-// Extend consumes query samples across every shard — the cache-blocked
+// Extend consumes query samples across every shard with the row's own
+// per-shard kernel ext (ExtendShard or ExtendShard16) — the cache-blocked
 // form of Extend: shard k walks the whole query slice before shard k+1
-// starts, so a shard's working set (cost+run+reference, ~10 bytes/column)
-// stays cache-resident for the entire block instead of the full row
-// streaming through per sample. Halos chain between neighbours, so the
-// result and the backing row are bit-identical to Extend on the same
-// inputs (property-tested in shard_test.go).
-func (sr *ShardedRow) Extend(query []int8, ref []int8, cfg IntConfig) IntResult {
+// starts, so a shard's working set (cost+run+reference, ~10 bytes/column
+// at 32 bits) stays cache-resident for the entire block instead of the
+// full row streaming through per sample. Halos chain between neighbours,
+// so the result and the backing row are bit-identical to the unsharded
+// kernel on the same inputs (property-tested in shard_test.go and
+// int16_test.go).
+func (sr *Sharded[C, R]) Extend(query []int8, ref []int8, cfg IntConfig, ext ShardExtend[C, R]) IntResult {
 	if len(ref) != sr.row.Len() {
 		panic("sdtw: row/reference length mismatch")
 	}
-	return sr.ExtendWith(len(query), func(_, lo int, shard *Row, haloIn, haloOut *Halo) IntResult {
-		return ExtendShard(shard, query, ref[lo:lo+shard.Len()], cfg, haloIn, haloOut)
+	return sr.ExtendWith(len(query), func(_, lo int, shard *Rows[C, R], haloIn, haloOut *HaloOf[C, R]) IntResult {
+		return ext(shard, query, ref[lo:lo+shard.Len()], cfg, haloIn, haloOut)
 	})
 }

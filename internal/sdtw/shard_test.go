@@ -62,7 +62,7 @@ func TestShardedRowMatchesExtend(t *testing.T) {
 			chunk := query[:c]
 			query = query[c:]
 			want := Extend(plain, chunk, ref, cfg)
-			got := sharded.Extend(chunk, ref, cfg)
+			got := sharded.Extend(chunk, ref, cfg, ExtendShard)
 			if got != want {
 				t.Logf("width %d: sharded %+v != plain %+v", width, got, want)
 				return false
@@ -165,6 +165,9 @@ func TestShardWidthDegenerate(t *testing.T) {
 	}
 }
 
+// TestShardRowGeometry and TestShardedRowAliasesBackingRow check the
+// shared Sharded container once per cell layout: the 32-bit Row and the
+// packed Row16 must shard and alias identically.
 func TestShardRowGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		m, width   int
@@ -172,38 +175,48 @@ func TestShardRowGeometry(t *testing.T) {
 	}{
 		{10, 3, 4}, {10, 1, 10}, {10, 10, 1}, {10, 25, 1}, {10, 0, 1}, {7, 2, 4},
 	} {
-		sr := NewShardedRow(tc.m, tc.width)
-		if sr.NumShards() != tc.wantShards {
-			t.Errorf("m=%d width=%d: %d shards, want %d", tc.m, tc.width, sr.NumShards(), tc.wantShards)
+		checkShardGeometry(t, "int32", ShardRow(NewRow(tc.m), tc.width), tc.m, tc.width, tc.wantShards)
+		checkShardGeometry(t, "int16", ShardRow(NewRow16(tc.m), tc.width), tc.m, tc.width, tc.wantShards)
+	}
+}
+
+func checkShardGeometry[C CostCell, R RunCell](t *testing.T, layout string, sr *Sharded[C, R], m, width, wantShards int) {
+	t.Helper()
+	if sr.NumShards() != wantShards {
+		t.Errorf("%s m=%d width=%d: %d shards, want %d", layout, m, width, sr.NumShards(), wantShards)
+	}
+	total := 0
+	for k := 0; k < sr.NumShards(); k++ {
+		lo, hi := sr.Bounds(k)
+		if hi <= lo {
+			t.Errorf("%s m=%d width=%d: empty shard %d", layout, m, width, k)
 		}
-		total := 0
-		for k := 0; k < sr.NumShards(); k++ {
-			lo, hi := sr.Bounds(k)
-			if hi <= lo {
-				t.Errorf("m=%d width=%d: empty shard %d", tc.m, tc.width, k)
-			}
-			if sr.Shard(k).Len() != hi-lo {
-				t.Errorf("m=%d width=%d: shard %d view length %d != %d", tc.m, tc.width, k, sr.Shard(k).Len(), hi-lo)
-			}
-			total += hi - lo
+		if sr.Shard(k).Len() != hi-lo {
+			t.Errorf("%s m=%d width=%d: shard %d view length %d != %d", layout, m, width, k, sr.Shard(k).Len(), hi-lo)
 		}
-		if total != tc.m {
-			t.Errorf("m=%d width=%d: shards cover %d columns", tc.m, tc.width, total)
-		}
+		total += hi - lo
+	}
+	if total != m {
+		t.Errorf("%s m=%d width=%d: shards cover %d columns", layout, m, width, total)
 	}
 }
 
 func TestShardedRowAliasesBackingRow(t *testing.T) {
-	sr := NewShardedRow(20, 6)
+	checkShardAliasing(t, "int32", ShardRow(NewRow(20), 6))
+	checkShardAliasing(t, "int16", ShardRow(NewRow16(20), 6))
+}
+
+func checkShardAliasing[C CostCell, R RunCell](t *testing.T, layout string, sr *Sharded[C, R]) {
+	t.Helper()
 	sr.Row().Cost[7] = 42
 	k := 7 / 6
 	lo, _ := sr.Bounds(k)
 	if sr.Shard(k).Cost[7-lo] != 42 {
-		t.Fatal("shard view does not alias the backing row")
+		t.Fatalf("%s: shard view does not alias the backing row", layout)
 	}
 	sr.Row().Reset()
 	if sr.Shard(k).Cost[7-lo] != 0 {
-		t.Fatal("Reset not visible through shard view")
+		t.Fatalf("%s: Reset not visible through shard view", layout)
 	}
 }
 
@@ -265,26 +278,33 @@ func BenchmarkRowReset(b *testing.B) {
 
 // BenchmarkExtendShard measures the blocked kernel: a 2,000-sample chunk
 // (the paper's default stage) against a SARS-CoV-2-scale reference,
-// unsharded versus cache-blocked at several shard widths. The cells/sec
-// metric is DP cell updates per second; GB/s is the DP-row traffic those
-// updates imply at the kernel's bytes/cell.
+// unsharded versus cache-blocked at several shard widths. The long case
+// repeats the comparison on a ~500k-column reference, whose 4 MB row no
+// longer fits L2 — the regime the serial blocked path exists for. The
+// cells/sec metric is DP cell updates per second; GB/s is the DP-row
+// traffic those updates imply at the kernel's bytes/cell.
 func BenchmarkExtendShard(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	const n, m = 2000, 59796
-	query, ref := randShardInputs(rng, n, m)
+	const n, m, longM = 2000, 59796, 499960
 	cfg := DefaultIntConfig()
-	bench := func(b *testing.B, width int) {
+	bench := func(b *testing.B, query, ref []int8, width int) {
 		b.Helper()
-		sr := NewShardedRow(m, width)
+		sr := NewShardedRow(len(ref), width)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sr.Extend(query, ref, cfg)
+			sr.Extend(query, ref, cfg, ExtendShard)
 		}
 		b.StopTimer()
-		reportCellMetrics(b, n, m, row32CellBytes)
+		reportCellMetrics(b, len(query), len(ref), row32CellBytes)
 	}
-	b.Run("unsharded", func(b *testing.B) { bench(b, m) })
+	query, ref := randShardInputs(rng, n, m)
+	b.Run("unsharded", func(b *testing.B) { bench(b, query, ref, m) })
 	for _, width := range []int{4096, 8192, 16384} {
-		b.Run("width="+strconv.Itoa(width), func(b *testing.B) { bench(b, width) })
+		b.Run("width="+strconv.Itoa(width), func(b *testing.B) { bench(b, query, ref, width) })
 	}
+	b.Run("long", func(b *testing.B) {
+		query, ref := randShardInputs(rand.New(rand.NewSource(7)), n, longM)
+		b.Run("unsharded", func(b *testing.B) { bench(b, query, ref, longM) })
+		b.Run("width=65536", func(b *testing.B) { bench(b, query, ref, 65536) })
+	})
 }

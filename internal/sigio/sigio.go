@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"squigglefilter/internal/genome"
 	"squigglefilter/internal/squiggle"
@@ -104,7 +105,9 @@ func Read(r io.Reader) ([]*squiggle.Read, error) {
 	if count > maxReads {
 		return nil, fmt.Errorf("sigio: implausible read count %d", count)
 	}
-	reads := make([]*squiggle.Read, 0, count)
+	// count comes from the header, so it only bounds the loop; the slice
+	// grows as reads actually parse.
+	reads := make([]*squiggle.Read, 0, min(count, 1024))
 	for i := uint32(0); i < count; i++ {
 		rd, err := readRead(br)
 		if err != nil {
@@ -140,22 +143,15 @@ func readRead(r io.Reader) (*squiggle.Read, error) {
 	if err != nil {
 		return nil, err
 	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	samples, err := readArray[int16](r)
+	if err != nil {
+		return nil, fmt.Errorf("samples: %w", err)
 	}
-	samples := make([]int16, n)
-	if err := binary.Read(r, binary.LittleEndian, samples); err != nil {
-		return nil, err
+	events32, err := readArray[uint32](r)
+	if err != nil {
+		return nil, fmt.Errorf("events: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	events32 := make([]uint32, n)
-	if err := binary.Read(r, binary.LittleEndian, events32); err != nil {
-		return nil, err
-	}
-	events := make([]int, n)
+	events := make([]int, len(events32))
 	for i, e := range events32 {
 		events[i] = int(e)
 	}
@@ -169,6 +165,34 @@ func readRead(r io.Reader) (*squiggle.Read, error) {
 		Samples: samples,
 		Events:  events,
 	}, nil
+}
+
+// arrayBlock is how many elements readArray decodes at a time.
+const arrayBlock = 1 << 16
+
+// readArray reads a uint32 element count and then that many elements. The
+// count is untrusted, so the slice grows one bounded block at a time as
+// elements actually arrive: a forged count in a short file costs at most
+// one block beyond the elements the file holds before the truncation
+// error, never an allocation sized by the header.
+func readArray[T int16 | uint32](r io.Reader) ([]T, error) {
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, min(n, arrayBlock))
+	for uint32(len(out)) < n {
+		k := int(min(n-uint32(len(out)), arrayBlock))
+		out = slices.Grow(out, k)
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("%d of %d elements: %w", len(out), n, err)
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
 }
 
 func writeString(w io.Writer, s string) error {

@@ -2,7 +2,10 @@ package sigio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -99,4 +102,67 @@ func TestBadVersion(t *testing.T) {
 	if _, err := Read(&buf); err == nil {
 		t.Error("future version accepted")
 	}
+}
+
+// hostileSampleCount is a 27-byte SQGL file: a valid header announcing one
+// read whose metadata is empty and whose sample count is 0xFFFFFFFF, with
+// no sample data behind it.
+var hostileSampleCount = []byte{
+	'S', 'Q', 'G', 'L', 1, 0, 0, 0, 1, 0, 0, 0, // magic, version, count
+	0, 0, 0, 0, // empty id, empty source
+	0, 0, 0, 0, 0, // flags, pos
+	0, 0, // empty bases
+	0xFF, 0xFF, 0xFF, 0xFF, // sample count
+}
+
+// TestHostileSampleCount pins that an absurd array length in a short file
+// is a truncation error: the reader must not size an allocation from the
+// header before any data has arrived.
+func TestHostileSampleCount(t *testing.T) {
+	if len(hostileSampleCount) != 27 {
+		t.Fatalf("fixture is %d bytes, want 27", len(hostileSampleCount))
+	}
+	_, err := Read(bytes.NewReader(hostileSampleCount))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Read = %v, want a truncation error", err)
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to the SQGL reader: it must return an
+// error or reads, never panic or allocate beyond the input, and whatever
+// it accepts must survive a Write/Read round trip unchanged.
+func FuzzRead(f *testing.F) {
+	bases, err := genome.FromString("ACGTAC")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A small seed keeps the mutator fast; the format has nothing that
+	// only long reads exercise.
+	seed := []*squiggle.Read{
+		{ID: "r0", Source: "g", Target: true, Pos: 3, Bases: bases, Samples: []int16{510, 498, -3}, Events: []int{0, 2}},
+		{ID: "r1", Reverse: true, Samples: []int16{}, Events: []int{}},
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hostileSampleCount)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reads, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, reads); err != nil {
+			t.Fatalf("re-encoding accepted input: %v", err)
+		}
+		again, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-reading re-encoded input: %v", err)
+		}
+		if !reflect.DeepEqual(reads, again) {
+			t.Fatal("round trip of accepted input changed it")
+		}
+	})
 }

@@ -14,7 +14,8 @@ cd "$(dirname "$0")/.."
 # - Panel sessions: streamed panel verdicts are chunking-invariant and
 #   pruning never changes the winner.
 # - Sharding: sharded sw/hw rows stay bit-identical to the unsharded
-#   kernel at every layer.
+#   kernel at every layer, for the packed 16-bit row as well as the
+#   32-bit one (both share sdtw's one generic shard container).
 # - Vector strip: the AVX2 row sweep is bit-identical to the scalar one.
 # - Scheduler: every concurrency path dispatches through
 #   internal/engine/sched with verdicts identical to serial
@@ -33,8 +34,10 @@ cd "$(dirname "$0")/.."
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity
+./internal/sdtw TestSharded16MatchesUnsharded16 TestExtendShard16HaloChaining
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
 ./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
+./internal/engine TestKernel16ShardedParity
 ./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestClassifyStreamCancelled TestSessionFeedCancelled
 ./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured

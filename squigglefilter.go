@@ -122,9 +122,11 @@ type DetectorConfig struct {
 	// models whole-kernel launches and ignores Shards.
 	Shards int
 	// Kernel selects the software DP cell layout: KernelInt32 (default,
-	// the reference 32-bit cells) or KernelInt16 (packed saturating
-	// 16-bit cells, same verdicts at under half the row traffic). The
-	// hardware and GPU models are unaffected.
+	// the reference 32-bit cells, with an AVX2 row sweep where the CPU
+	// has one) or KernelInt16 (packed saturating 16-bit cells, same
+	// verdicts at under half the row traffic, but scalar-only and
+	// currently the slower kernel — see KernelInt16). The hardware and
+	// GPU models are unaffected.
 	Kernel Kernel
 	// Realtime, when set (ClockHz > 0), puts the detector's scheduler in
 	// deadline mode: every DP task carries a decision deadline of one
@@ -177,8 +179,11 @@ const (
 	KernelInt32 Kernel = iota
 	// KernelInt16 is the packed saturating layout: 16-bit costs and 8-bit
 	// run counters — under half the DP-row memory traffic per cell, with
-	// verdicts identical to KernelInt32 on every schedule it admits. It
-	// requires every stage threshold to sit at or below
+	// verdicts identical to KernelInt32 on every schedule it admits. Its
+	// row sweep is scalar-only, so today it is the slower software
+	// kernel: KernelInt32's AVX2 sweep runs about 8x faster where the CPU
+	// has AVX2 (EXPERIMENTS.md, "Roofline after the AVX2 int32 strip").
+	// It requires every stage threshold to sit at or below
 	// sdtw.Sat16MaxThreshold (about 26,600 cost units — an order of
 	// magnitude above any calibrated ejection threshold); NewDetector
 	// rejects hotter schedules.
