@@ -258,10 +258,10 @@ func BenchmarkCascade1000(b *testing.B) {
 		exactDP += sess.DPSamples()
 	}
 
-	var dpCells, coarseCells, pruned, scorings, hit, attributed int64
+	var dpCells, coarseCells, hit, attributed int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dpCells, coarseCells, pruned, scorings, hit, attributed = 0, 0, 0, 0, 0, 0
+		dpCells, coarseCells, hit, attributed = 0, 0, 0, 0
 		for ri, r := range reads {
 			sess, err := cp.NewSession(PrunePolicy{})
 			if err != nil {
@@ -270,8 +270,6 @@ func BenchmarkCascade1000(b *testing.B) {
 			v, _ := sess.Stream(r, 400)
 			dpCells += sess.DPCells()
 			coarseCells += sess.CoarseDPCells()
-			pruned += sess.CoarsePruned()
-			scorings += sess.CoarseScorings()
 			if winners[ri] >= 0 {
 				attributed++
 				if v.Best == winners[ri] {
@@ -288,14 +286,9 @@ func BenchmarkCascade1000(b *testing.B) {
 		b.ReportMetric(float64(hit)/float64(attributed), "recall")
 	}
 	b.ReportMetric(float64(exactDP)/cascadeSamples, "xfewer")
-	// The early-abandoning coarse tier's own story: DP cells the bounded
-	// pass actually computed per read (CI ratchets this, lower is better)
-	// and the fraction of per-target scorings the admissible bound
-	// abandoned before the final row.
+	// The coarse tier's DP cells per read (CI ratchets this, lower is
+	// better).
 	b.ReportMetric(float64(coarseCells)/float64(len(reads)), "coarsecells/read")
-	if scorings > 0 {
-		b.ReportMetric(float64(pruned)/float64(scorings), "pruned-frac")
-	}
 	b.ReportMetric(nTargets, "targets")
 }
 

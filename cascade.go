@@ -199,24 +199,25 @@ func (cs *CascadeSession) DPSamples() int64 { return cs.s.DPSamples() }
 // back-end instances.
 func (cs *CascadeSession) Err() error { return cs.s.Err() }
 
-// CoarseDPSamples returns the decimated samples the coarse tier actually
-// scored, summed over targets (zero when TopK covered the panel).
-// Targets the admissible bound abandoned early contribute only the
-// samples consumed before their bound fired.
+// CoarseDPSamples returns the decimated samples the coarse tier scored,
+// summed over targets (zero when TopK covered the panel). Every target
+// is scored in full, so this is each dwell hypothesis's decimated prefix
+// length times the panel size.
 func (cs *CascadeSession) CoarseDPSamples() int64 { return cs.s.CoarseDPSamples() }
 
-// CoarseDPCells returns the coarse DP cells actually computed — compare
-// against targets × hypotheses × (decimated prefix × decimated reference)
-// for the exhaustive coarse tier's cell count.
+// CoarseDPCells returns the coarse DP cells computed: each dwell
+// hypothesis's decimated prefix length times the summed decimated
+// reference lengths.
 func (cs *CascadeSession) CoarseDPCells() int64 { return cs.s.CoarseDPCells() }
 
-// CoarsePruned returns how many per-target coarse scorings the admissible
-// lower bound abandoned before the final row, across all dwell
-// hypotheses; CoarseScorings is the denominator.
-func (cs *CascadeSession) CoarsePruned() int64 { return cs.s.CoarsePruned() }
+// CoarsePruned returns 0.
+//
+// Deprecated: the coarse tier scores every target in full and abandons
+// nothing early.
+func (cs *CascadeSession) CoarsePruned() int64 { return 0 }
 
 // CoarseScorings returns how many per-target coarse scorings the coarse
-// tier attempted (targets × dwell hypotheses).
+// tier ran (targets × dwell hypotheses).
 func (cs *CascadeSession) CoarseScorings() int64 { return cs.s.CoarseScorings() }
 
 // DPCells returns the total DP cells computed across both tiers — the

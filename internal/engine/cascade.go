@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,16 +28,10 @@ import (
 // d²·dwell reduction per target, so 1,000 decimated targets cost less
 // than a single exact one.
 //
-// Within one hypothesis the coarse pass is also output-sensitive in k,
-// not linear in N alone: every target scores under a shared running cut
-// (the k-th best exact coarse cost completed so far, plus Margin), and
-// the bounded kernel (sdtw.ExtendShard16Bounded) abandons a reference
-// the moment its admissible lower bound exceeds that cut. Only targets
-// that can still place in the top-k pay for full sweeps; the rest pay a
-// few rows each. Survivor selection is bit-identical to exhaustive
-// scoring by construction — pruned means the exact cost provably missed
-// the cut (DESIGN.md §11) — and TestCascadeBoundedSurvivorIdentity locks
-// the equivalence.
+// Every (query, target) pair is scored exhaustively: the full sweep over
+// every decimated reference, claimed in panel order, so a pass is dense
+// streaming DP whose cell count is known before it starts. Nothing is
+// abandoned early; DESIGN.md §11 records why.
 //
 // A read's true dwell varies ±~25% read to read (the sequencer's rate
 // jitter), and the no-ref-deletion recurrence is one-sidedly fragile to
@@ -76,14 +69,6 @@ const (
 	// QueryDwell, covering the sequencer's per-read rate jitter.
 	dwellSpread = 2
 )
-
-// coarsePrunedCost is the cost recorded for a target the bounded kernel
-// abandoned: it exceeds every exact coarse cost (those are saturating
-// int16 values) and every survivor cut under which a prune can fire (a
-// cut at or above the int16 ceiling shuts pruning off entirely, since
-// the admissible bound never exceeds the row minimum), so a pruned
-// target can never re-enter the survivor set through the cut scan.
-const coarsePrunedCost = math.MaxInt32
 
 // CascadeConfig parameterizes the coarse tier.
 type CascadeConfig struct {
@@ -178,6 +163,9 @@ type Cascade struct {
 	panel  *Panel
 	cfg    CascadeConfig
 	coarse [][]int8
+	// refCells is the summed length of the coarse references: one query
+	// sample's DP cells across the whole panel.
+	refCells int64
 	// sch prices and bounds the coarse tier's DP like any other back-end
 	// work: each reference a pass scores borrows one slot, costed at the
 	// 16-bit kernel's calibrated service time for every query the pass
@@ -187,12 +175,6 @@ type Cascade struct {
 	workers int
 	scorers sync.Pool
 	passes  sync.Pool
-	// seedOrder lists target indices shortest-coarse-reference-first
-	// (ties by index): the pass scores targets in this order so the
-	// shared cut seeds on the cheapest references before the expensive
-	// ones start, maximizing how much of their work the bound can
-	// abandon.
-	seedOrder []int32
 	// The persistent coarse worker set: helpers park on work and drain
 	// whatever pass is handed to them, so scoring spawns no goroutines.
 	// quit (closed by Close) releases them; sends are non-blocking, so a
@@ -241,26 +223,19 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 	if n := runtime.NumCPU(); workers > n {
 		workers = n
 	}
-	seed := make([]int32, len(coarseRefs))
-	for i := range seed {
-		seed[i] = int32(i)
+	var refCells int64
+	for _, ref := range coarseRefs {
+		refCells += int64(len(ref))
 	}
-	sort.Slice(seed, func(a, b int) bool {
-		la, lb := len(coarseRefs[seed[a]]), len(coarseRefs[seed[b]])
-		if la != lb {
-			return la < lb
-		}
-		return seed[a] < seed[b]
-	})
 	c := &Cascade{
-		panel:     panel,
-		cfg:       cfg,
-		coarse:    coarseRefs,
-		sch:       sched.New(workers),
-		workers:   workers,
-		seedOrder: seed,
-		work:      make(chan *coarsePass),
-		quit:      make(chan struct{}),
+		panel:    panel,
+		cfg:      cfg,
+		coarse:   coarseRefs,
+		refCells: refCells,
+		sch:      sched.New(workers),
+		workers:  workers,
+		work:     make(chan *coarsePass),
+		quit:     make(chan struct{}),
 	}
 	c.scorers.New = func() any {
 		s, err := sdtw.NewCoarseScorer(coarseRefs, icfg)
@@ -327,9 +302,8 @@ func (c *Cascade) spawnHelpers() {
 }
 
 // coarseServiceTime models one coarse score's DP time from the 16-bit
-// kernel's calibrated per-cell rate. It is the a-priori (unpruned) cost:
-// early abandonment only ever shortens the actual hold, so EDF ordering
-// and modeled-busy accounting stay conservative.
+// kernel's calibrated per-cell rate. Every score sweeps all
+// queryLen×refLen cells, so the modeled cell count is exact.
 func coarseServiceTime(queryLen, refLen int) time.Duration {
 	cells := float64(queryLen) * float64(refLen)
 	return time.Duration(cells * sw16CellSeconds() * float64(time.Second))
@@ -338,9 +312,8 @@ func coarseServiceTime(queryLen, refLen int) time.Duration {
 // CoarseServiceTime returns the modeled wall time of one read's full
 // coarse pass — every dwell hypothesis over every target — given the raw
 // prefix length it will score: the figure flow-cell keep-up accounting
-// adds per read on top of the exact tier's ServiceTime. Like
-// coarseServiceTime it prices the unpruned pass; the admissible bound
-// only ever makes the real pass cheaper.
+// adds per read on top of the exact tier's ServiceTime. The pass scores
+// every cell it prices, so only the per-cell rate is modeled.
 func (c *Cascade) CoarseServiceTime(rawPrefix int) time.Duration {
 	if rawPrefix > c.cfg.CoarsePrefix {
 		rawPrefix = c.cfg.CoarsePrefix
@@ -358,103 +331,21 @@ func (c *Cascade) CoarseServiceTime(rawPrefix int) time.Duration {
 	return total
 }
 
-// cutTracker maintains the k smallest exact coarse costs completed so
-// far for one query of a pass and publishes the running survivor cut
-// (k-th best + Margin·qlen) through an atomic for the bounded sweeps to
-// read lock-free mid-row. Until k exact costs complete the published cut
-// stays at MaxInt64, pruning nothing — so the first k completions are
-// always scored exactly, whatever order targets finish in. The cut is
-// monotone non-increasing and always at or above the query's final cut,
-// which is what makes every prune admissible for survivor selection
-// (DESIGN.md §11).
-type cutTracker struct {
-	mu     sync.Mutex
-	worst  []int32 // max-heap of the k best costs seen, len <= k
-	k      int
-	margin int64 // Margin * qlen, fixed per hypothesis
-	cut    atomic.Int64
-}
-
-func (ct *cutTracker) reset(k int, margin int64) {
-	if cap(ct.worst) < k {
-		ct.worst = make([]int32, 0, k)
-	}
-	ct.worst = ct.worst[:0]
-	ct.k = k
-	ct.margin = margin
-	ct.cut.Store(math.MaxInt64)
-}
-
-// offer records one completed exact cost, tightening the published cut
-// when it displaces the current k-th best. The lock-free fast path skips
-// costs that cannot tighten an already-published cut.
-func (ct *cutTracker) offer(cost int32) {
-	if cur := ct.cut.Load(); cur != math.MaxInt64 && int64(cost)+ct.margin >= cur {
-		return
-	}
-	ct.mu.Lock()
-	h := ct.worst
-	if len(h) < ct.k {
-		// Sift the new cost up the max-heap.
-		h = append(h, cost)
-		i := len(h) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if h[parent] >= h[i] {
-				break
-			}
-			h[parent], h[i] = h[i], h[parent]
-			i = parent
-		}
-		ct.worst = h
-		if len(h) == ct.k {
-			ct.cut.Store(int64(h[0]) + ct.margin)
-		}
-	} else if cost < h[0] {
-		// Replace the root (current k-th best) and sift down.
-		h[0] = cost
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(h) && h[l] > h[big] {
-				big = l
-			}
-			if r < len(h) && h[r] > h[big] {
-				big = r
-			}
-			if big == i {
-				break
-			}
-			h[i], h[big] = h[big], h[i]
-			i = big
-		}
-		ct.cut.Store(int64(h[0]) + ct.margin)
-	}
-	ct.mu.Unlock()
-}
-
 // coarseItem is one (read, dwell hypothesis) query of a pass: the
-// decimated+normalized query, its own running cut (admissibility is per
-// query, never shared across reads or hypotheses), each target's exact
-// coarse cost — or coarsePrunedCost where the bound abandoned it — and
-// the query's accounting.
+// decimated+normalized query and each target's coarse cost.
 type coarseItem struct {
-	q                      []int8
-	eq                     []int16 // decimation scratch feeding q
-	costs                  []int32
-	cut                    cutTracker
-	samples, cells, pruned atomic.Int64
+	q     []int8
+	eq    []int16 // decimation scratch feeding q
+	costs []int32
 }
 
 // coarsePass is the pooled coarse scoring state of one promotion: a
 // group of reads (one for a plain CascadeSession, up to a batch's lanes
 // for a CascadeBatch flush), every dwell hypothesis of each. The
 // participants — the promoting caller plus any parked helpers — claim
-// references off the shared seedOrder cursor; each claim acquires one
+// references off a shared cursor in panel order; each claim acquires one
 // scheduler slot, costed for every query the pass carries, and scores
-// all of them against that reference with the bounded kernel before
-// releasing it. Pooling the pass alongside the scorers is what makes the
+// all of them against that reference before releasing it. Pooling the pass alongside the scorers is what makes the
 // whole coarse pass allocation-free per read.
 type coarsePass struct {
 	c      *Cascade
@@ -464,7 +355,7 @@ type coarsePass struct {
 	keep   [][]bool     // per read, per target: survivor union across hypotheses
 	sel    []int32      // quickselect scratch for the survivor cut
 	totalQ int          // sum of query lengths, for the composite slot cost
-	next   atomic.Int64 // index into Cascade.seedOrder
+	next   atomic.Int64 // next reference to claim
 	wg     sync.WaitGroup
 	mu     sync.Mutex // guards err
 	err    error
@@ -490,8 +381,7 @@ func (c *Cascade) putPass(p *coarsePass) {
 }
 
 // addRead adds one read's coarse prefix (its first CoarsePrefix samples)
-// to the pass: one query per dwell hypothesis, each with an unseeded cut
-// and zeroed accounting. Items and masks reuse the pooled pass's earlier
+// to the pass: one query per dwell hypothesis. Items and masks reuse the pooled pass's earlier
 // scratch, so a warm pass allocates nothing here.
 func (p *coarsePass) addRead(read []int16) {
 	c := p.c
@@ -524,10 +414,6 @@ func (p *coarsePass) addRead(read []int16) {
 			it.costs = make([]int32, n)
 		}
 		it.costs = it.costs[:n]
-		it.cut.reset(c.cfg.TopK, c.cfg.Margin*int64(len(it.q)))
-		it.samples.Store(0)
-		it.cells.Store(0)
-		it.pruned.Store(0)
 		p.totalQ += len(it.q)
 	}
 }
@@ -554,10 +440,9 @@ func (p *coarsePass) takeErr() error {
 }
 
 // drain claims references off the pass's cursor until none remain: the
-// body every participant runs. References come out in seedOrder
-// (shortest first) so each query's cut tightens as early and cheaply as
-// possible. Each reference costs one scheduler slot for the whole pass,
-// and everything between Acquire and Release is pure DP.
+// body every participant runs. Each reference costs one scheduler slot
+// for the whole pass, and everything between Acquire and Release is
+// pure DP: every query of the pass scored against that reference.
 func (p *coarsePass) drain() {
 	c := p.c
 	n := len(c.coarse)
@@ -567,10 +452,9 @@ func (p *coarsePass) drain() {
 		if j >= int64(n) {
 			break
 		}
-		i := int(c.seedOrder[j])
-		m := len(c.coarse[i])
+		i := int(j)
 		idx, err := c.sch.Acquire(p.ctx, sched.Task{
-			Cost: coarseServiceTime(p.totalQ, m),
+			Cost: coarseServiceTime(p.totalQ, len(c.coarse[i])),
 		})
 		if err != nil {
 			p.fail(err)
@@ -578,16 +462,7 @@ func (p *coarsePass) drain() {
 		}
 		for k := range p.items {
 			it := &p.items[k]
-			r := s.ScoreBounded(it.q, i, &it.cut.cut)
-			it.samples.Add(int64(r.Samples))
-			it.cells.Add(int64(r.Samples) * int64(m))
-			if r.Pruned {
-				it.pruned.Add(1)
-				it.costs[i] = coarsePrunedCost
-			} else {
-				it.costs[i] = r.Cost
-				it.cut.offer(r.Cost)
-			}
+			it.costs[i] = s.Score(it.q, i).Cost
 		}
 		c.sch.Release(idx)
 	}
@@ -704,19 +579,24 @@ func kthSmallestInt32(xs []int32, k int) int32 {
 // the possibly-grown scratch is returned for reuse. Identical by value
 // to the cut the former sort-based selection computed: sorting by
 // (cost, index) and reading entry k-1 yields exactly the k-th smallest
-// cost value.
+// cost value. The cut saturates at MaxInt32 instead of overflowing on a
+// huge Margin: every coarse cost fits in int16, so a saturated cut keeps
+// exactly the targets the exact sum would.
 func (c *Cascade) survivorCut(costs []int32, qlen int, scratch []int32) (int64, []int32) {
 	scratch = append(scratch[:0], costs...)
-	kth := kthSmallestInt32(scratch, c.cfg.TopK)
-	return int64(kth) + c.cfg.Margin*int64(qlen), scratch
+	kth := int64(kthSmallestInt32(scratch, c.cfg.TopK))
+	cut := int64(math.MaxInt32)
+	if qlen == 0 || c.cfg.Margin <= (cut-kth)/int64(qlen) {
+		cut = kth + c.cfg.Margin*int64(qlen)
+	}
+	return cut, scratch
 }
 
 // survivors picks the panel indices whose coarse cost is at most the k-th
 // best plus Margin per decimated sample — top-k with ties and near-ties
 // kept rather than split arbitrarily. Indices return in ascending panel
 // order, so the exact tier's earliest-index tie-breaking matches the full
-// panel's. Entries at coarsePrunedCost (bound-abandoned targets) can
-// never make the cut whenever any prune actually fired.
+// panel's.
 func (c *Cascade) survivors(costs []int32, qlen int) []int {
 	cut, _ := c.survivorCut(costs, qlen, make([]int32, 0, len(costs)))
 	out := make([]int, 0, c.cfg.TopK)
@@ -756,10 +636,9 @@ type CascadeSession struct {
 	surv           []int     // survivor panel indices, ascending
 	coarseCost     [][]int32 // per dwell hypothesis, per target (RecordCoarseCosts)
 	scored         bool
-	coarseDP       int64 // decimated samples actually scored, summed over targets
-	coarseCells    int64 // coarse DP cells actually computed
-	coarsePruned   int64 // (target, hypothesis) scorings the bound abandoned
-	coarseScorings int64 // (target, hypothesis) scorings attempted
+	coarseDP       int64 // decimated samples scored, summed over targets
+	coarseCells    int64 // coarse DP cells computed
+	coarseScorings int64 // (target, hypothesis) scorings
 	err            error
 	done           bool
 }
@@ -899,19 +778,21 @@ func (cs *CascadeSession) scoreable() bool {
 }
 
 // commit copies read r's pass results onto the session: survivor set,
-// accounting, and (when recording) per-hypothesis cost rows.
+// accounting, and (when recording) per-hypothesis cost rows. Every query
+// sample is scored against every reference, so the accounting follows
+// from the query lengths alone.
 func (cs *CascadeSession) commit(p *coarsePass, r int) {
-	n := len(cs.c.coarse)
+	n := int64(len(cs.c.coarse))
 	items, keep := p.read(r)
 	for k := range items {
 		it := &items[k]
 		if cs.c.cfg.RecordCoarseCosts {
 			cs.coarseCost = append(cs.coarseCost, append([]int32(nil), it.costs...))
 		}
-		cs.coarseDP += it.samples.Load()
-		cs.coarseCells += it.cells.Load()
-		cs.coarsePruned += it.pruned.Load()
-		cs.coarseScorings += int64(n)
+		qlen := int64(len(it.q))
+		cs.coarseDP += qlen * n
+		cs.coarseCells += qlen * cs.c.refCells
+		cs.coarseScorings += n
 	}
 	cs.scored = true
 	cs.surv = cs.surv[:0]
@@ -1026,9 +907,7 @@ func (cs *CascadeSession) Survivors() []int {
 // the coarse tier did not score (not promoted yet, skipped because TopK
 // covered the panel, or CascadeConfig.RecordCoarseCosts is off — the
 // default, keeping the coarse pass allocation-free). Costs compare only
-// within a row; entries at or above math.MaxInt32 mark targets the
-// admissible bound abandoned (their exact cost provably missed the
-// survivor cut). The slices are copies.
+// within a row. The slices are copies.
 func (cs *CascadeSession) CoarseCosts() [][]int32 {
 	if !cs.scored || cs.coarseCost == nil {
 		return nil
@@ -1051,23 +930,22 @@ func (cs *CascadeSession) DPSamples() int64 {
 	return cs.inner.DPSamples()
 }
 
-// CoarseDPSamples returns the decimated samples the coarse tier actually
-// scored, summed over targets (zero when the coarse tier was skipped).
-// Early-abandoned targets contribute only the samples consumed before
-// their bound fired.
+// CoarseDPSamples returns the decimated samples the coarse tier scored,
+// summed over targets (zero when the coarse tier was skipped): exactly
+// each hypothesis's query length times the number of targets.
 func (cs *CascadeSession) CoarseDPSamples() int64 { return cs.coarseDP }
 
-// CoarseDPCells returns the coarse DP cells actually computed — the
-// numerator of the pruning-efficiency story, against the exhaustive
-// tier's qlen × refLen × targets per hypothesis.
+// CoarseDPCells returns the coarse DP cells computed: each hypothesis's
+// query length times the summed decimated reference lengths.
 func (cs *CascadeSession) CoarseDPCells() int64 { return cs.coarseCells }
 
-// CoarsePruned returns how many per-target scorings the admissible bound
-// abandoned early, across all dwell hypotheses.
-func (cs *CascadeSession) CoarsePruned() int64 { return cs.coarsePruned }
+// CoarsePruned returns 0.
+//
+// Deprecated: the coarse tier no longer abandons scorings early.
+func (cs *CascadeSession) CoarsePruned() int64 { return 0 }
 
 // CoarseScorings returns how many per-target scorings the coarse tier
-// attempted (targets × hypotheses) — the denominator for CoarsePruned.
+// ran (targets × hypotheses).
 func (cs *CascadeSession) CoarseScorings() int64 { return cs.coarseScorings }
 
 // DPCells returns the total DP cells computed across both tiers — the

@@ -11,15 +11,14 @@ import (
 // at their prefix crossing and promote together through one pass
 // (Cascade.promote, the same code a plain session runs as a group of
 // itself). The pass still scores every (session, dwell hypothesis)
-// query with the plain bounded kernel, so DP cells are unchanged; what
+// query against every reference, so DP cells are unchanged; what
 // the group shares is the dispatch: one scheduler task per reference —
 // carrying the composite service time of every query's cells — and one
 // traversal of the reference set, instead of one of each per read.
 //
 // Survivor sets are identical to a plain session's by construction:
-// every query keeps its own cutTracker (so prunes are admissible
-// against that query's own running top-k), its own cost array, and the
-// same survivorCut selection rule (DESIGN.md §12).
+// every query keeps its own cost array and goes through the same
+// survivorCut selection rule (DESIGN.md §12).
 // TestBatchedCoarseSurvivorIdentity locks the equivalence.
 
 // MaxBatchLanes bounds a CascadeBatch's flush group: at most this many

@@ -91,3 +91,34 @@ func TestReadFASTAMultiRecordOrder(t *testing.T) {
 		t.Fatalf("records out of order: %+v", gs)
 	}
 }
+
+// FuzzReadFASTA feeds arbitrary bytes to the FASTA reader: it must return
+// records or an error, never panic, and whatever it accepts must survive
+// a WriteFASTA/ReadFASTA round trip with the same names and sequences.
+func FuzzReadFASTA(f *testing.F) {
+	f.Add([]byte(">virus extra words\nacgt\nACGT\n\nacg\n>second\nTTTT\n"))
+	f.Add([]byte("ACGT\n>late\nA\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gs, err := ReadFASTA(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTA(&buf, gs...); err != nil {
+			t.Fatalf("writing accepted input: %v", err)
+		}
+		again, err := ReadFASTA(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written records: %v", err)
+		}
+		if len(again) != len(gs) {
+			t.Fatalf("round trip kept %d of %d records", len(again), len(gs))
+		}
+		for i := range gs {
+			if again[i].Name != gs[i].Name || again[i].Seq.String() != gs[i].Seq.String() {
+				t.Fatalf("record %d: round trip gave %q/%q, want %q/%q",
+					i, again[i].Name, again[i].Seq, gs[i].Name, gs[i].Seq)
+			}
+		}
+	})
+}

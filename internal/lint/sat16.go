@@ -9,16 +9,13 @@ import (
 )
 
 // Sat16 confines the 16-bit kernel's arithmetic: inside internal/sdtw's
-// int16 kernel files (package sdtw, basename containing "16" — int16.go,
-// sweep16.go, and the early-abandoning sweep16bounded.go alike), all cell
-// math happens in int32 registers and only clamped values are narrowed
-// into the packed int16 row. The bounded sweep's lower-bound math
-// (rowMin minus remaining×drop against the shared cut) must stay in
-// int64 for the same reason: a wrapped bound is an inadmissible bound. That discipline is what the Sat16Ceiling
-// confinement proof (int16.go, PR 6) quantifies over — a single raw
-// int16 addition can wrap instead of saturate and silently void the
-// "saturation never flips a verdict" property that lets thresholds stay
-// in 16 bits.
+// int16 kernel files (package sdtw, basename containing "16" — int16.go
+// and sweep16.go alike), all cell math happens in int32 registers and
+// only clamped values are narrowed into the packed int16 row. That
+// discipline is what the Sat16Ceiling confinement proof (int16.go)
+// quantifies over — a single raw int16 addition can wrap instead of
+// saturate and silently void the "saturation never flips a verdict"
+// property that lets thresholds stay in 16 bits.
 //
 // Flagged:
 //

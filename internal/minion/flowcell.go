@@ -66,7 +66,7 @@ type FlowCellConfig struct {
 	// whole group's cost. Clamped to [1, engine.MaxBatchLanes]; zero means
 	// sequential (1). The composite cost is the sum of the members'
 	// per-read costs: batching amortizes dispatch, not DP cells (every
-	// query in a batched pass still runs the plain bounded kernel).
+	// query in a batched pass still scores every reference).
 	CoarseLanes int
 }
 

@@ -70,15 +70,22 @@ func (cs *CoarseScorer) Score(query []int8, i int) IntResult {
 	return ExtendShard16(&view, query, ref, cs.cfg, nil, nil)
 }
 
-// ScoreBounded is Score under an admissible early-abandon cut (see
-// ExtendShard16Bounded): when the returned verdict is not Pruned its
-// IntResult is bit-identical to Score's, and when it is Pruned the exact
-// cost provably exceeded cut at abandonment time. A nil cut never prunes.
+// BoundedResult is ScoreBounded's result: Score's IntResult plus the
+// query samples scored.
+//
+// Deprecated: the coarse tier no longer abandons references early, so
+// Pruned is always false and Samples always len(query). Use Score.
+type BoundedResult struct {
+	IntResult
+	Pruned  bool
+	Samples int
+}
+
+// ScoreBounded is Score with the result wrapped as a BoundedResult; cut
+// is ignored.
+//
+// Deprecated: the coarse tier scores every reference exhaustively. Use
+// Score.
 func (cs *CoarseScorer) ScoreBounded(query []int8, i int, cut *atomic.Int64) BoundedResult {
-	ref := cs.ref(i)
-	m := len(ref)
-	view := Row16{Cost: cs.scratch.Cost[:m], Run: cs.scratch.Run[:m]}
-	clear(view.Cost)
-	clear(view.Run)
-	return ExtendShard16Bounded(&view, query, ref, cs.cfg, cut)
+	return BoundedResult{IntResult: cs.Score(query, i), Samples: len(query)}
 }

@@ -83,11 +83,7 @@ func sat16(v int32) int32 {
 // bonusTerms16 resolves the effective (bonus, cap) pair the 16-bit kernel
 // runs with: a zero bonus zeroes the cap (run values are then only ever
 // compared against it), and the cap is clamped to MaxInt8 so no IntConfig
-// can overflow the packed int8 run field. ExtendShard16 and the bounded
-// sweep (sweep16bounded.go) share this resolution — the bounded sweep's
-// admissible per-row drop bound is bonus*cap of *these* effective values,
-// so factoring them keeps the bound provably tied to what the cells
-// actually compute.
+// can overflow the packed int8 run field.
 func bonusTerms16(cfg IntConfig) (bonus, cap_ int32) {
 	bonus, cap_ = cfg.MatchBonus, cfg.BonusCap
 	if bonus == 0 {
@@ -97,40 +93,6 @@ func bonusTerms16(cfg IntConfig) (bonus, cap_ int32) {
 		cap_ = math.MaxInt8
 	}
 	return bonus, cap_
-}
-
-// maxRowDrop16 is the largest amount the row minimum can decrease per
-// consumed query sample: the match bonus is the recurrence's only
-// cost-decreasing term and its credit is capped at bonus*cap. Degenerate
-// configurations (non-positive bonus or cap) cannot decrease costs at
-// all — their runs stay 0 or their "bonus" adds — so the drop floors at
-// zero. DESIGN.md §11 carries the full admissibility argument.
-func maxRowDrop16(bonus, cap_ int32) int64 {
-	d := int64(bonus) * int64(cap_)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// futureDrop16 is the amortized refinement of maxRowDrop16: over r
-// further query samples the row minimum can decrease by at most
-// base + slope*r. A single step can spend credit bonus*run, but the run
-// counter resets to 1 on every diagonal (credit-spending) step and
-// rebuilds only through up-steps that spend nothing — so along any
-// r-step path, the first diagonal step cashes at most the inherited
-// run's bonus*cap, and every later diagonal step's run is 1 + the
-// credit-free steps since the previous one. The credits therefore
-// telescope to bonus*(cap-1) + bonus*r (DESIGN.md §11), a factor ~cap
-// tighter per row than charging bonus*cap each — which is what lets the
-// cascade's early-abandon bound fire rows early instead of a handful of
-// rows before the end. Degenerate configurations floor both terms at
-// zero, same as maxRowDrop16.
-func futureDrop16(bonus, cap_ int32) (base, slope int64) {
-	if bonus <= 0 || cap_ <= 0 {
-		return 0, 0
-	}
-	return int64(bonus) * (int64(cap_) - 1), int64(bonus)
 }
 
 // ExtendShard16 is ExtendShard for the packed 16-bit row: identical

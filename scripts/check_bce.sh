@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Bounds-check audit for the sDTW hot strips: the register-resident
-# recurrence in sweep.go, sweep16.go and sweep16bounded.go (the
-# early-abandoning coarse driver) is written in forms the compiler's
+# recurrence in sweep.go and sweep16.go is written in forms the compiler's
 # prove pass eliminates every per-cell bounds check for; this script
 # fails CI if one ever comes back (a refactor re-introducing an
 # unprovable shared induction variable is the usual culprit).
@@ -23,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-audited='(sweep(16)?(bounded)?|coarse)\.go'
+audited='(sweep(16)?|coarse)\.go'
 
 audit() {
   local out hits

@@ -24,9 +24,10 @@ cd "$(dirname "$0")/.."
 #   verdict cross-validates against the runtime model.
 # - Cascade: the coarse tier never drops the exact panel's winner, and
 #   TopK >= the panel size is bit-identical to a plain panel.
-# - Bounded coarse tier: survivors equal exhaustive scoring's, the bound
-#   is admissible against the unbounded kernel, and cancelled or closed
-#   cascades unwind without leaking coarse workers.
+# - Coarse pass: the pooled multi-participant pass commits the survivors
+#   that scoring each target on its own would (a Margin that overflows
+#   the cut included), and cancelled or closed cascades unwind without
+#   leaking coarse workers.
 # - Batched coarse tier: a CascadeBatch commits exactly the ungrouped
 #   survivor sets and verdicts, a cancelled flush aborts the whole group,
 #   Close is safe racing in-flight passes, every pass takes one scheduler
@@ -42,7 +43,6 @@ gates='
 ./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
 . TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity
-./internal/sdtw TestBounded16Admissibility TestBounded16FutureDropLemma
 ./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers
 ./internal/engine TestBatchedCoarseSurvivorIdentity TestBatchedCoarseCancelMidSweep TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerReference
 ./internal/minion TestFlowCellCoarseTier TestFlowCellCoarseStragglerFlush
