@@ -454,8 +454,8 @@ func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold in
 		}
 		panel = cp.Panel()
 		cc := cp.Config()
-		fmt.Printf("config: backend=sw sweep=%s targets=%d shards=%d cascade decimate=%d topk=%d coarse-prefix=%d coarse-batch=%d\n",
-			sdtw.Sweep(), len(panel.Targets()), shards, cc.Decimation, cc.TopK, cc.CoarsePrefix, coarseBatch)
+		fmt.Printf("config: backend=sw sweep=%s coarse=%s targets=%d shards=%d cascade decimate=%d topk=%d coarse-prefix=%d coarse-batch=%d\n",
+			sdtw.Sweep(), sdtw.CoarseSweep(), len(panel.Targets()), shards, cc.Decimation, cc.TopK, cc.CoarsePrefix, coarseBatch)
 	} else {
 		var err error
 		panel, err = squigglefilter.NewPanel(cfgs)

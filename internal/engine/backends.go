@@ -212,11 +212,50 @@ func calibrateCellSeconds[C sdtw.CostCell, R sdtw.RunCell](ext sdtw.ShardExtend[
 
 // swCellSeconds and sw16CellSeconds are the self-calibrated software DP
 // rates in seconds per cell for the 32-bit and packed 16-bit layouts,
-// each measured once per process.
+// each measured once per process. laneCellSeconds is the coarse tier's
+// lane-group kernel, calibrated once per process the same way.
 var (
 	swCellSeconds   = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.ExtendShard) })
 	sw16CellSeconds = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.ExtendShard16) })
+	laneCellSeconds = sync.OnceValue(calibrateLaneCellSeconds)
 )
+
+// calibrateLaneCellSeconds times one query scored against one full lane
+// group on the coarse tier's geometry (16 decimated references of 200
+// samples, a 100-sample decimated query) and returns the best-of-reps
+// seconds per cell.
+func calibrateLaneCellSeconds() float64 {
+	const (
+		calRef   = 200
+		calQuery = 100
+		reps     = 5
+	)
+	rng := rand.New(rand.NewSource(1))
+	refs := make([][]int8, 16)
+	for i := range refs {
+		refs[i] = make([]int8, calRef)
+		for j := range refs[i] {
+			refs[i][j] = int8(rng.Intn(256) - 128)
+		}
+	}
+	query := make([]int8, calQuery)
+	for i := range query {
+		query[i] = int8(rng.Intn(256) - 128)
+	}
+	// The references are non-empty, the only thing NewCoarseLanes rejects.
+	lanes, _ := sdtw.NewCoarseLanes(refs, sdtw.DefaultIntConfig())
+	s := lanes.NewScorer()
+	costs := make([]int32, len(refs))
+	best := math.MaxFloat64
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		s.ScoreGroup(query, 0, costs)
+		if sec := time.Since(start).Seconds() / (16 * calRef * calQuery); sec < best {
+			best = sec
+		}
+	}
+	return best
+}
 
 // NewHardware returns the cycle-accurate systolic-tile back-end. Costs and
 // decisions are bit-identical to the software back-end; Stats additionally

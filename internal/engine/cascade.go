@@ -163,14 +163,18 @@ type Cascade struct {
 	panel  *Panel
 	cfg    CascadeConfig
 	coarse [][]int8
+	// lanes is the coarse panel transposed into lane groups of 16 for the
+	// vector kernel, built once and shared read-only by every pooled
+	// scorer.
+	lanes *sdtw.CoarseLanes
 	// refCells is the summed length of the coarse references: one query
 	// sample's DP cells across the whole panel.
 	refCells int64
 	// sch prices and bounds the coarse tier's DP like any other back-end
-	// work: each reference a pass scores borrows one slot, costed at the
-	// 16-bit kernel's calibrated service time for every query the pass
-	// carries, so EDF ordering and the utilization accounting the
-	// flow-cell verdict reads stay honest.
+	// work: each lane group a pass scores borrows one slot, costed at the
+	// calibrated rate of the kernel each query runs on, for every query
+	// the pass carries, so EDF ordering and the utilization accounting
+	// the flow-cell verdict reads stay honest.
 	sch     *sched.Scheduler
 	workers int
 	scorers sync.Pool
@@ -179,7 +183,7 @@ type Cascade struct {
 	// whatever pass is handed to them, so scoring spawns no goroutines.
 	// quit (closed by Close) releases them; sends are non-blocking, so a
 	// busy or released helper set just means the pass's caller drains
-	// more references itself.
+	// more lane groups itself.
 	work chan *coarsePass
 	quit chan struct{}
 	// lifeMu serializes helper spawning against Close: the WaitGroup Adds
@@ -208,10 +212,12 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 		return nil, fmt.Errorf("engine: %d coarse references for %d panel targets",
 			len(coarseRefs), len(panel.targets))
 	}
-	// Validate the references once here so the pooled constructor below
-	// cannot fail, and probe a panel session so promotion cannot either
-	// (it fails only for pipelines this package did not build).
-	if _, err := sdtw.NewCoarseScorer(coarseRefs, icfg); err != nil {
+	// Build and validate the lane panel once here, so the pooled scorers
+	// are plain scratch over it, and probe a panel session so promotion
+	// cannot fail either (it fails only for pipelines this package did
+	// not build).
+	lanes, err := sdtw.NewCoarseLanes(coarseRefs, icfg)
+	if err != nil {
 		return nil, err
 	}
 	if probe, err := panel.NewSession(PrunePolicy{}); err != nil {
@@ -231,19 +237,14 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 		panel:    panel,
 		cfg:      cfg,
 		coarse:   coarseRefs,
+		lanes:    lanes,
 		refCells: refCells,
 		sch:      sched.New(workers),
 		workers:  workers,
 		work:     make(chan *coarsePass),
 		quit:     make(chan struct{}),
 	}
-	c.scorers.New = func() any {
-		s, err := sdtw.NewCoarseScorer(coarseRefs, icfg)
-		if err != nil {
-			panic(err) // unreachable: references validated at construction
-		}
-		return s
-	}
+	c.scorers.New = func() any { return lanes.NewScorer() }
 	return c, nil
 }
 
@@ -301,12 +302,19 @@ func (c *Cascade) spawnHelpers() {
 	}
 }
 
-// coarseServiceTime models one coarse score's DP time from the 16-bit
-// kernel's calibrated per-cell rate. Every score sweeps all
-// queryLen×refLen cells, so the modeled cell count is exact.
-func coarseServiceTime(queryLen, refLen int) time.Duration {
-	cells := float64(queryLen) * float64(refLen)
-	return time.Duration(cells * sw16CellSeconds() * float64(time.Second))
+// coarseServiceTime models scoring one query of qlen samples against
+// lane group g: the group's real cells (padding excluded) at the
+// calibrated per-cell rate of the kernel that scoring runs on — the lane
+// strip, or the scalar 16-bit sweep where the floor guard or the build
+// sends the group reference by reference through Score. Every score
+// sweeps all of its cells, so the modeled cell count is exact.
+func (c *Cascade) coarseServiceTime(g, qlen int) time.Duration {
+	rate := sw16CellSeconds
+	if c.lanes.Strip(g, qlen) {
+		rate = laneCellSeconds
+	}
+	cells := float64(qlen) * float64(c.lanes.GroupCells(g))
+	return time.Duration(cells * rate() * float64(time.Second))
 }
 
 // CoarseServiceTime returns the modeled wall time of one read's full
@@ -324,8 +332,8 @@ func (c *Cascade) CoarseServiceTime(rawPrefix int) time.Duration {
 	var total time.Duration
 	for _, qf := range c.cfg.queryFactors() {
 		qlen := (rawPrefix + qf - 1) / qf
-		for _, ref := range c.coarse {
-			total += coarseServiceTime(qlen, len(ref))
+		for g := 0; g < c.lanes.NumGroups(); g++ {
+			total += c.coarseServiceTime(g, qlen)
 		}
 	}
 	return total
@@ -343,22 +351,23 @@ type coarseItem struct {
 // group of reads (one for a plain CascadeSession, up to a batch's lanes
 // for a CascadeBatch flush), every dwell hypothesis of each. The
 // participants — the promoting caller plus any parked helpers — claim
-// references off a shared cursor in panel order; each claim acquires one
-// scheduler slot, costed for every query the pass carries, and scores
-// all of them against that reference before releasing it. Pooling the pass alongside the scorers is what makes the
-// whole coarse pass allocation-free per read.
+// lane groups of 16 references off a shared cursor; each claim acquires
+// one scheduler slot, costed for every query the pass carries, and
+// scores all of them against that group while its lane state stays in
+// L1, writing the costs back in panel order. Pooling the pass alongside
+// the scorers is what makes the whole coarse pass allocation-free per
+// read.
 type coarsePass struct {
-	c      *Cascade
-	ctx    context.Context
-	hyps   int
-	items  []coarseItem // read r's hypotheses are items[r*hyps : (r+1)*hyps]
-	keep   [][]bool     // per read, per target: survivor union across hypotheses
-	sel    []int32      // quickselect scratch for the survivor cut
-	totalQ int          // sum of query lengths, for the composite slot cost
-	next   atomic.Int64 // next reference to claim
-	wg     sync.WaitGroup
-	mu     sync.Mutex // guards err
-	err    error
+	c     *Cascade
+	ctx   context.Context
+	hyps  int
+	items []coarseItem // read r's hypotheses are items[r*hyps : (r+1)*hyps]
+	keep  [][]bool     // per read, per target: survivor union across hypotheses
+	sel   []int32      // quickselect scratch for the survivor cut
+	next  atomic.Int64 // next lane group to claim
+	wg    sync.WaitGroup
+	mu    sync.Mutex // guards err
+	err   error
 }
 
 func (c *Cascade) getPass(ctx context.Context) *coarsePass {
@@ -369,7 +378,6 @@ func (c *Cascade) getPass(ctx context.Context) *coarsePass {
 	p.ctx = ctx
 	p.items = p.items[:0]
 	p.keep = p.keep[:0]
-	p.totalQ = 0
 	p.next.Store(0)
 	p.err = nil
 	return p
@@ -414,7 +422,6 @@ func (p *coarsePass) addRead(read []int16) {
 			it.costs = make([]int32, n)
 		}
 		it.costs = it.costs[:n]
-		p.totalQ += len(it.q)
 	}
 }
 
@@ -430,7 +437,7 @@ func (p *coarsePass) fail(err error) {
 	}
 	p.mu.Unlock()
 	// Park the work counter past the end so every participant drains out.
-	p.next.Store(int64(len(p.c.coarse)))
+	p.next.Store(int64(p.c.lanes.NumGroups()))
 }
 
 func (p *coarsePass) takeErr() error {
@@ -439,30 +446,39 @@ func (p *coarsePass) takeErr() error {
 	return p.err
 }
 
-// drain claims references off the pass's cursor until none remain: the
-// body every participant runs. Each reference costs one scheduler slot
-// for the whole pass, and everything between Acquire and Release is
-// pure DP: every query of the pass scored against that reference.
+// drain claims lane groups off the pass's cursor until none remain: the
+// body every participant runs. Each group costs one scheduler slot for
+// the whole pass, and everything between Acquire and Release is pure DP:
+// every query of the pass scored against that group's references.
 func (p *coarsePass) drain() {
 	c := p.c
-	n := len(c.coarse)
+	groups := c.lanes.NumGroups()
 	s := c.scorers.Get().(*sdtw.CoarseScorer)
 	for {
 		j := p.next.Add(1) - 1
-		if j >= int64(n) {
+		if j >= int64(groups) {
 			break
 		}
-		i := int(j)
-		idx, err := c.sch.Acquire(p.ctx, sched.Task{
-			Cost: coarseServiceTime(p.totalQ, len(c.coarse[i])),
-		})
+		g := int(j)
+		// Acquire picks at random between a free slot and a done context;
+		// checking first makes a cancelled pass stop at its next claim,
+		// however few groups the panel has.
+		if err := p.ctx.Err(); err != nil {
+			p.fail(err)
+			break
+		}
+		var cost time.Duration
+		for k := range p.items {
+			cost += c.coarseServiceTime(g, len(p.items[k].q))
+		}
+		idx, err := c.sch.Acquire(p.ctx, sched.Task{Cost: cost})
 		if err != nil {
 			p.fail(err)
 			break
 		}
 		for k := range p.items {
 			it := &p.items[k]
-			it.costs[i] = s.Score(it.q, i).Cost
+			s.ScoreGroup(it.q, g, it.costs)
 		}
 		c.sch.Release(idx)
 	}
@@ -470,7 +486,7 @@ func (p *coarsePass) drain() {
 }
 
 // run scores every query of the pass against every target, fanning the
-// references across the persistent helper set, then marks each read's
+// lane groups across the persistent helper set, then marks each read's
 // survivors: the union over its hypotheses of each hypothesis's top-k
 // (ties and near-ties kept) — ranks are only meaningful within a
 // hypothesis, and the one matching the read's true rate is the one that
@@ -479,7 +495,7 @@ func (p *coarsePass) drain() {
 // cancellation in Acquire).
 func (p *coarsePass) run() error {
 	c := p.c
-	if extra := c.extraParticipants(len(c.coarse)); extra > 0 {
+	if extra := c.extraParticipants(c.lanes.NumGroups()); extra > 0 {
 		c.spawnHelpers()
 		for i := 0; i < extra; i++ {
 			// Non-blocking: a helper set busy with other passes — or
@@ -514,9 +530,9 @@ func (p *coarsePass) run() error {
 	return nil
 }
 
-// extraParticipants is how many helpers a pass over n targets is worth
-// recruiting: the caller is always one participant, and more participants
-// than targets would just contend.
+// extraParticipants is how many helpers a pass over n lane groups is
+// worth recruiting: the caller is always one participant, and more
+// participants than groups would just contend.
 func (c *Cascade) extraParticipants(n int) int {
 	if c.workers <= 1 || n <= 1 {
 		return 0

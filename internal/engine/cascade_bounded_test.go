@@ -147,7 +147,11 @@ func TestCascadeBoundedSurvivorIdentity(t *testing.T) {
 func TestCascadeSessionContextCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	cfg := sdtw.DefaultIntConfig()
-	refs := [][]int8{randomRef(rng, 800), randomRef(rng, 800), randomRef(rng, 800), randomRef(rng, 800)}
+	// Three lane groups, so a pass has work for three participants.
+	refs := make([][]int8, 33)
+	for i := range refs {
+		refs[i] = randomRef(rng, 800)
+	}
 	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
 	targets := make([]Target, len(refs))
 	for i, r := range refs {
@@ -233,7 +237,11 @@ func TestCascadeSessionContextCancel(t *testing.T) {
 func TestCascadeCloseReleasesWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	cfg := sdtw.DefaultIntConfig()
-	refs := [][]int8{randomRef(rng, 800), randomRef(rng, 800), randomRef(rng, 800), randomRef(rng, 800)}
+	// Three lane groups, so a pass has work for three participants.
+	refs := make([][]int8, 33)
+	for i := range refs {
+		refs[i] = randomRef(rng, 800)
+	}
 	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
 	targets := make([]Target, len(refs))
 	for i, r := range refs {

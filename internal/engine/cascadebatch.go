@@ -12,9 +12,10 @@ import (
 // (Cascade.promote, the same code a plain session runs as a group of
 // itself). The pass still scores every (session, dwell hypothesis)
 // query against every reference, so DP cells are unchanged; what
-// the group shares is the dispatch: one scheduler task per reference —
-// carrying the composite service time of every query's cells — and one
-// traversal of the reference set, instead of one of each per read.
+// the group shares is the dispatch: one scheduler task per lane group of
+// 16 references — carrying the composite service time of every query's
+// cells — and one traversal of the reference set, instead of one of each
+// per read.
 //
 // Survivor sets are identical to a plain session's by construction:
 // every query keeps its own cost array and goes through the same

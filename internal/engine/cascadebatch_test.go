@@ -236,18 +236,27 @@ func TestCascadeCloseConcurrent(t *testing.T) {
 	}
 }
 
-// TestCascadeSessionOneAcquirePerReference: a plain session promotes as
-// a batch of one, so its coarse pass borrows one scheduler slot per
-// reference — every dwell hypothesis scored inside it — not one per
-// (reference, hypothesis). The exact tier schedules on its own panel's
-// pools, so the coarse scheduler's completions count exactly the pass.
-func TestCascadeSessionOneAcquirePerReference(t *testing.T) {
+// TestCascadeSessionOneAcquirePerLaneGroup: a plain session promotes as
+// a batch of one, so its coarse pass borrows one scheduler slot per lane
+// group of 16 references — every reference of the group and every dwell
+// hypothesis scored inside it — not one per reference or per
+// (reference, hypothesis). The panel spans a full group and a partial
+// one. The exact tier schedules on its own panel's pools, so the coarse
+// scheduler's completions count exactly the pass. The session's cell
+// count stays the real work, padding excluded: each hypothesis's query
+// length times the summed reference lengths.
+func TestCascadeSessionOneAcquirePerLaneGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(193))
-	const n = 12
+	const n = 21
+	groups := (n + 15) / 16
 	c, _ := buildBoundedCascade(t, rng, n, 3, 0, 1200)
 	defer c.Close()
 	if h := len(c.cfg.queryFactors()); h < 2 {
 		t.Fatalf("%d dwell hypotheses; the test needs several", h)
+	}
+	var refCells int64
+	for _, ref := range c.coarse {
+		refCells += int64(len(ref))
 	}
 	for trial := 0; trial < 3; trial++ {
 		before := c.sch.Stats().Completed
@@ -255,13 +264,21 @@ func TestCascadeSessionOneAcquirePerReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs.Stream(randomRead(rng, 1500), 400)
+		read := randomRead(rng, 1500)
+		cs.Stream(read, 400)
 		if cs.CoarseScorings() == 0 {
 			t.Fatalf("trial %d: the coarse tier never scored", trial)
 		}
-		if got := c.sch.Stats().Completed - before; got != n {
-			t.Errorf("trial %d: coarse pass completed %d scheduler tasks over %d references, want %d",
-				trial, got, n, n)
+		if got := c.sch.Stats().Completed - before; got != int64(groups) {
+			t.Errorf("trial %d: coarse pass completed %d scheduler tasks over %d references, want %d (one per lane group)",
+				trial, got, n, groups)
+		}
+		var wantCells int64
+		for _, qf := range c.cfg.queryFactors() {
+			wantCells += int64((c.cfg.CoarsePrefix+qf-1)/qf) * refCells
+		}
+		if got := cs.CoarseDPCells(); got != wantCells {
+			t.Errorf("trial %d: CoarseDPCells = %d, want len(q)·Σ refLen summed over hypotheses = %d", trial, got, wantCells)
 		}
 	}
 }

@@ -1,48 +1,45 @@
 package sdtw
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // CoarseScorer is the cascade's coarse-tier entry point: one decimated
 // query scored against a whole panel of decimated references with the
-// packed 16-bit kernel. Scoring is single-shot ranking, not streaming —
-// every Score call starts from the boundary row — so one scratch Row16
-// sized to the longest reference serves the entire panel: each call takes
-// a prefix view of it, clears that prefix, and runs ExtendShard16 over a
-// single shard spanning the reference. The scratch reuse is what keeps a
-// 1,000-target coarse pass allocation-free after construction.
+// packed 16-bit kernel. The panel is a shared read-only CoarseLanes; the
+// scorer holds the scratch. Score is the scalar path, one reference at a
+// time: scoring is single-shot ranking, not streaming — every Score call
+// starts from the boundary row — so one scratch Row16 sized to the longest
+// reference serves the entire panel: each call takes a prefix view of it,
+// clears that prefix, and runs ExtendShard16 over a single shard spanning
+// the reference. ScoreGroup scores a whole lane group with the vector
+// strip (lanes.go) where it applies, with the same results. The scratch
+// reuse is what keeps a 1,000-target coarse pass allocation-free after
+// construction.
 //
-// A CoarseScorer is not safe for concurrent use (the scratch row is shared
-// across Score calls); callers that fan scoring across workers pool one
-// scorer per worker.
+// A CoarseScorer is not safe for concurrent use (the scratch is shared
+// across calls); callers that fan scoring across workers pool one scorer
+// per worker, all over one CoarseLanes.
 type CoarseScorer struct {
-	refs    [][]int8
-	cfg     IntConfig
+	lanes   *CoarseLanes
 	scratch *Row16
+	// cost and run are the strip's lane state, column-major like
+	// laneGroup.ref; res holds one group's results.
+	cost, run []int16
+	res       [laneWidth]IntResult
 }
 
-// NewCoarseScorer builds a scorer over the decimated reference panel.
-// Every reference must be non-empty.
+// NewCoarseScorer builds a scorer over the decimated reference panel: a
+// CoarseLanes of its own plus one scorer's scratch. Every reference must
+// be non-empty.
 func NewCoarseScorer(refs [][]int8, cfg IntConfig) (*CoarseScorer, error) {
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("sdtw: coarse scorer needs at least one reference")
+	cl, err := NewCoarseLanes(refs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	longest := 0
-	for i, r := range refs {
-		if len(r) == 0 {
-			return nil, fmt.Errorf("sdtw: coarse reference %d is empty", i)
-		}
-		if len(r) > longest {
-			longest = len(r)
-		}
-	}
-	return &CoarseScorer{refs: refs, cfg: cfg, scratch: NewRow16(longest)}, nil
+	return cl.NewScorer(), nil
 }
 
 // NumRefs returns the panel size.
-func (cs *CoarseScorer) NumRefs() int { return len(cs.refs) }
+func (cs *CoarseScorer) NumRefs() int { return len(cs.lanes.refs) }
 
 // RefLen returns the length of decimated reference i.
 func (cs *CoarseScorer) RefLen(i int) int { return len(cs.ref(i)) }
@@ -51,7 +48,7 @@ func (cs *CoarseScorer) RefLen(i int) int { return len(cs.ref(i)) }
 // can see, keeping coarse.go inside the bounds-check audit
 // (scripts/check_bce.sh) alongside the sweep strips.
 func (cs *CoarseScorer) ref(i int) []int8 {
-	refs := cs.refs
+	refs := cs.lanes.refs
 	if uint(i) >= uint(len(refs)) {
 		panic("sdtw: coarse reference index out of range")
 	}
@@ -67,7 +64,7 @@ func (cs *CoarseScorer) Score(query []int8, i int) IntResult {
 	view := Row16{Cost: cs.scratch.Cost[:m], Run: cs.scratch.Run[:m]}
 	clear(view.Cost)
 	clear(view.Run)
-	return ExtendShard16(&view, query, ref, cs.cfg, nil, nil)
+	return ExtendShard16(&view, query, ref, cs.lanes.cfg, nil, nil)
 }
 
 // BoundedResult is ScoreBounded's result: Score's IntResult plus the

@@ -60,7 +60,8 @@ func (h *HaloOf[C, R]) Len() int { return len(h.Cost) }
 // Sweep names the 32-bit row sweep ExtendShard runs in this process:
 // "int32/avx2" where the CPU and OS support the vector strip, otherwise
 // "int32/scalar". It is fixed at start-up, so a timing can be tied to the
-// path that produced it.
+// path that produced it. CoarseSweep names the coarse tier's kernel the
+// same way.
 func Sweep() string {
 	if haveAVX2 {
 		return "int32/avx2"

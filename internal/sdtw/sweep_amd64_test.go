@@ -36,5 +36,5 @@ func TestDetectAVX2MatchesCPUInfo(t *testing.T) {
 	if haveAVX2 != want {
 		t.Fatalf("haveAVX2 = %v, /proc/cpuinfo avx2 flag = %v", haveAVX2, want)
 	}
-	t.Logf("avx2=%v, active sweep %s", want, Sweep())
+	t.Logf("avx2=%v, active sweep %s, coarse %s", want, Sweep(), CoarseSweep())
 }

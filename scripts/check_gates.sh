@@ -16,7 +16,8 @@ cd "$(dirname "$0")/.."
 # - Sharding: sharded sw/hw rows stay bit-identical to the unsharded
 #   kernel at every layer, for the packed 16-bit row as well as the
 #   32-bit one (both share sdtw's one generic shard container).
-# - Vector strip: the AVX2 row sweep is bit-identical to the scalar one.
+# - Vector strips: the AVX2 row sweep is bit-identical to the scalar one,
+#   and the coarse lane-group strip to the scalar Score for every lane.
 # - Scheduler: every concurrency path dispatches through
 #   internal/engine/sched with verdicts identical to serial
 #   classification, mixed load stays deadlock-free on one instance, the
@@ -31,10 +32,11 @@ cd "$(dirname "$0")/.."
 # - Batched coarse tier: a CascadeBatch commits exactly the ungrouped
 #   survivor sets and verdicts, a cancelled flush aborts the whole group,
 #   Close is safe racing in-flight passes, every pass takes one scheduler
-#   slot per reference, and the flow cell prices the batched tier.
+#   slot per lane group of 16 references, and the flow cell prices the
+#   batched tier.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
-./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity
+./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity
 ./internal/sdtw TestSharded16MatchesUnsharded16 TestExtendShard16HaloChaining
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
 ./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
@@ -44,7 +46,7 @@ gates='
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
 . TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity
 ./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers
-./internal/engine TestBatchedCoarseSurvivorIdentity TestBatchedCoarseCancelMidSweep TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerReference
+./internal/engine TestBatchedCoarseSurvivorIdentity TestBatchedCoarseCancelMidSweep TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup
 ./internal/minion TestFlowCellCoarseTier TestFlowCellCoarseStragglerFlush
 '
 
