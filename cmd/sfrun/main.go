@@ -3,10 +3,10 @@
 // a decision summary, scheduler statistics, and classify-only throughput.
 //
 //	sfrun -data sample.sqgl -ref ref.txt [-threshold N] [-prefix 2000]
-//	      [-backend sw|hw|gpu] [-kernel int32|int16] [-workers N] [-shards S]
+//	      [-backend sw|hw|gpu] [-workers N] [-shards S]
 //	      [-stream] [-chunk 400]
 //	sfrun -data sample.sqgl -ref ref.txt -rt [-channels 512] [-rt-sec 60]
-//	      [-backend sw|hw|gpu] [-kernel int32|int16]
+//	      [-backend sw|hw|gpu]
 //	sfrun -data sample.sqgl -panel refA.txt,refB.txt,... [-stream]
 //	      [-cascade [-topk K] [-decimate D] [-coarse-batch B]] [-prune-margin M]
 //	      [-threshold N] [-prefix 2000] [-shards S]
@@ -16,12 +16,6 @@
 // shards) across -workers instances of whichever back-end is selected;
 // hw and gpu additionally report their modeled per-read latency (verdicts
 // are bit-identical across back-ends).
-//
-// -kernel selects the software DP cell layout: int32 (the reference
-// 32-bit cells) or int16 (packed saturating 16-bit cells — under half the
-// DP-row traffic per cell, identical verdicts for any threshold at or
-// below the saturation bound). hw and gpu model fixed cell layouts and
-// ignore it.
 //
 // -shards splits the reference dimension of every classification into S
 // shards: the software paths wavefront one read's shards across the
@@ -132,7 +126,7 @@ func printEngineSchedStats(st sched.Stats) {
 // buildPipeline programs an engine pipeline for the chosen back-end over
 // the reference, mirroring the detector's construction: the stream and
 // real-time paths drive engine sessions and cost models directly.
-func buildPipeline(seq string, backend string, kernel engine.KernelKind, workers, shards, prefix int, threshold int32) (*engine.Pipeline, int) {
+func buildPipeline(seq string, backend string, workers, shards, prefix int, threshold int32) (*engine.Pipeline, int) {
 	g, err := genome.FromString(seq)
 	if err != nil {
 		log.Fatal(err)
@@ -144,7 +138,7 @@ func buildPipeline(seq string, backend string, kernel engine.KernelKind, workers
 	instances, servers := workers, workers
 	switch backend {
 	case "sw":
-		factory = func() (engine.Backend, error) { return engine.NewSoftwareKernel(ref.Int8, icfg, kernel) }
+		factory = func() (engine.Backend, error) { return engine.NewSoftware(ref.Int8, icfg) }
 	case "hw":
 		// One pipeline instance per independent tile; the device has
 		// hw.NumTiles of them.
@@ -176,7 +170,6 @@ func main() {
 	threshold := flag.Int("threshold", 0, "ejection threshold (0 = calibrate on ground truth; panel mode defaults to 3/sample)")
 	prefix := flag.Int("prefix", 2000, "prefix samples per decision")
 	backend := flag.String("backend", "sw", "classification backend: sw, hw, or gpu")
-	kernelName := flag.String("kernel", "int32", "software DP cell layout: int32 (reference, AVX2 sweep where available) or int16 (packed saturating cells, same verdicts, scalar-only and currently slower); hw and gpu ignore it")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size batch reads (and each read's shards) are scheduled across, for any backend")
 	shards := flag.Int("shards", 1, "reference shards per read: intra-read parallelism on sw, cooperating tiles on hw (1 = unsharded)")
 	stream := flag.Bool("stream", false, "replay reads through incremental sessions on the selected backend's instance pool")
@@ -196,15 +189,6 @@ func main() {
 	}
 	if *stream && *chunk <= 0 {
 		log.Fatalf("-chunk must be positive, got %d", *chunk)
-	}
-	var kernel squigglefilter.Kernel
-	switch *kernelName {
-	case "int32":
-		kernel = squigglefilter.KernelInt32
-	case "int16":
-		kernel = squigglefilter.KernelInt16
-	default:
-		log.Fatalf("unknown kernel %q (want int32 or int16)", *kernelName)
 	}
 	if *pruneMargin >= 0 && (*panelRefs == "" || !*stream) {
 		log.Fatalf("-prune-margin needs -panel with -stream (pruning acts at streaming stage boundaries)")
@@ -259,7 +243,6 @@ func main() {
 		Sequence: seq,
 		Workers:  *workers,
 		Shards:   *shards,
-		Kernel:   kernel,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -281,7 +264,7 @@ func main() {
 	}
 
 	if *rt {
-		runRealtime(reads, seq, *backend, engine.KernelKind(kernel), *workers, *prefix, th, *channels, *chunk, *rtSec)
+		runRealtime(reads, seq, *backend, *workers, *prefix, th, *channels, *chunk, *rtSec)
 		return
 	}
 
@@ -291,7 +274,6 @@ func main() {
 		Stages:   []squigglefilter.Stage{{PrefixSamples: *prefix, Threshold: th}},
 		Workers:  *workers,
 		Shards:   *shards,
-		Kernel:   kernel,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -299,8 +281,8 @@ func main() {
 	// The resolved configuration, so runs are reproducible from their logs.
 	// sweep names the int32 row sweep the process dispatched to (AVX2
 	// strip or scalar), so a timing can be tied to the path behind it.
-	fmt.Printf("config: backend=%s kernel=%s sweep=%s workers=%d shards=%d (reference %d samples)\n",
-		*backend, det2.Kernel(), sdtw.Sweep(), det2.Workers(), det2.Shards(), det2.ReferenceSamples())
+	fmt.Printf("config: backend=%s sweep=%s workers=%d shards=%d (reference %d samples)\n",
+		*backend, sdtw.Sweep(), det2.Workers(), det2.Shards(), det2.ReferenceSamples())
 
 	samples := make([][]int16, len(reads))
 	for i, r := range reads {
@@ -319,7 +301,7 @@ func main() {
 	if *stream {
 		// Built (and, for sw, service-time-calibrated) before the clock
 		// starts: the timed region below is classify work only.
-		streamPipe, _ = buildPipeline(seq, *backend, engine.KernelKind(kernel), *workers, *shards, *prefix, th)
+		streamPipe, _ = buildPipeline(seq, *backend, *workers, *shards, *prefix, th)
 		streamPipe.ServiceTime(*chunk)
 	}
 	start := time.Now()
@@ -395,8 +377,8 @@ func main() {
 // verdicts come from real DP on the selected back-end, task timing from
 // its service-time cost model queued through the deterministic EDF
 // scheduler, and the report is the measured keep-up verdict.
-func runRealtime(reads []*squiggle.Read, seq, backend string, kernel engine.KernelKind, workers, prefix int, threshold int32, channels, chunk int, rtSec float64) {
-	pipe, servers := buildPipeline(seq, backend, kernel, workers, 1, prefix, threshold)
+func runRealtime(reads []*squiggle.Read, seq, backend string, workers, prefix int, threshold int32, channels, chunk int, rtSec float64) {
+	pipe, servers := buildPipeline(seq, backend, workers, 1, prefix, threshold)
 	cfg := minion.FlowCellConfig{
 		Config:       minion.DefaultConfig(),
 		ChunkSamples: chunk,
@@ -410,8 +392,8 @@ func runRealtime(reads []*squiggle.Read, seq, backend string, kernel engine.Kern
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("realtime: backend=%s kernel=%s sweep=%s servers=%d prefix=%d threshold=%d chunk=%d (%.3fs period), %gs simulated\n",
-		backend, kernel, sdtw.Sweep(), servers, prefix, threshold, chunk, res.ChunkPeriodSec, rtSec)
+	fmt.Printf("realtime: backend=%s sweep=%s servers=%d prefix=%d threshold=%d chunk=%d (%.3fs period), %gs simulated\n",
+		backend, sdtw.Sweep(), servers, prefix, threshold, chunk, res.ChunkPeriodSec, rtSec)
 	fmt.Println(res)
 	fmt.Printf("yield: %d target / %d total bases, %d full reads, %d ejected; wait p99=%.3gs\n",
 		res.TargetBases, res.TotalBases, res.ReadsFull, res.ReadsEjected, res.Wait.P99)

@@ -60,16 +60,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The packed 16-bit software kernel has its own self-calibrated
-	// service-time model (sw16 cells are cheaper to move); its verdicts
-	// are identical below the saturation bound, so swPipe still computes
-	// the DP and only the cost model changes, exactly as for hw and gpu.
-	sw16Pipe, err := engine.NewPipeline(func() (engine.Backend, error) {
-		return engine.NewSoftwareKernel(ref.Int8, icfg, engine.Kernel16)
-	}, 4, stages)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// Cost models. hw: exact from the tile cycle ledger at the 2.5 GHz
 	// synthesized clock. gpu: the measured Guppy-lite Read Until chunk
 	// latency of the paper's software pipeline (Table 3) — per delivered
@@ -92,7 +82,6 @@ func main() {
 			return time.Duration(titan.GuppyLiteLatency * float64(time.Second))
 		}},
 		{"sw (this host)", swPipe.Workers(), swPipe.ServiceTime},
-		{"sw16 (this host)", sw16Pipe.Workers(), sw16Pipe.ServiceTime},
 	}
 
 	fmt.Println("channels-sustained per backend (0.1 s chunk deadline, 60 s simulated):")

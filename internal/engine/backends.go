@@ -12,53 +12,14 @@ import (
 	"squigglefilter/internal/sdtw"
 )
 
-// KernelKind selects the DP cell layout of a software back-end: the
-// 32-bit reference kernel or the packed 16-bit saturating kernel. Both
-// produce identical verdicts on any schedule the 16-bit kernel admits
-// (every threshold at or below sdtw.Sat16MaxThreshold — enforced by the
-// kernel's stage validation); the 16-bit kernel moves 7 bytes of DP-row
-// traffic per cell instead of 17, but its sweep is scalar-only, so it is
-// the slower of the two wherever the 32-bit AVX2 sweep runs.
-type KernelKind int
-
-const (
-	// Kernel32 is the reference layout: int32 cost, int32 run (sdtw.Row).
-	Kernel32 KernelKind = iota
-	// Kernel16 is the packed saturating layout: int16 cost, int8 run
-	// (sdtw.Row16).
-	Kernel16
-)
-
-// String names the kind as the back-end reports it.
-func (k KernelKind) String() string {
-	switch k {
-	case Kernel32:
-		return "int32"
-	case Kernel16:
-		return "int16"
-	default:
-		return fmt.Sprintf("KernelKind(%d)", int(k))
-	}
-}
-
 // NewSoftware returns the pure-software back-end: the integer sDTW engine
 // of internal/sdtw with no performance model. It is safe for concurrent
 // use.
 func NewSoftware(ref []int8, cfg sdtw.IntConfig) (Backend, error) {
-	return NewSoftwareKernel(ref, cfg, Kernel32)
-}
-
-// NewSoftwareKernel is NewSoftware with an explicit cell layout: Kernel32
-// for the 32-bit reference cells, Kernel16 for the packed 16-bit
-// saturating cells ("sw16"). The 16-bit back-end rejects stage schedules
-// whose thresholds exceed sdtw.Sat16MaxThreshold, and within that bound
-// its verdicts are identical to the 32-bit back-end's.
-func NewSoftwareKernel(ref []int8, cfg sdtw.IntConfig, kind KernelKind) (Backend, error) {
-	k, err := newSoftwareKernel(ref, cfg, kind)
-	if err != nil {
-		return nil, err
+	if len(ref) == 0 {
+		return nil, fmt.Errorf("engine: empty reference")
 	}
-	return newStager(k), nil
+	return newStager(&swKernel{ref: ref, cfg: cfg}), nil
 }
 
 // NewSoftwareSharded is NewSoftware with the serial cache-blocked sharded
@@ -70,118 +31,82 @@ func NewSoftwareKernel(ref []int8, cfg sdtw.IntConfig, kind KernelKind) (Backend
 // plain path. For intra-read *parallelism* over shards, configure the
 // sharing at the pipeline instead (Pipeline.SetShards).
 func NewSoftwareSharded(ref []int8, cfg sdtw.IntConfig, shards int) (Backend, error) {
-	return NewSoftwareShardedKernel(ref, cfg, shards, Kernel32)
-}
-
-// NewSoftwareShardedKernel is NewSoftwareSharded with an explicit cell
-// layout (see NewSoftwareKernel).
-func NewSoftwareShardedKernel(ref []int8, cfg sdtw.IntConfig, shards int, kind KernelKind) (Backend, error) {
-	k, err := newSoftwareKernel(ref, cfg, kind)
+	b, err := NewSoftware(ref, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := newStager(k)
+	s := b.(*stager)
 	if width := sdtw.ShardWidth(len(ref), shards); width < len(ref) {
 		s.shardWidth = width
 	}
 	return s, nil
 }
 
-func newSoftwareKernel(ref []int8, cfg sdtw.IntConfig, kind KernelKind) (kernel, error) {
-	if len(ref) == 0 {
-		return nil, fmt.Errorf("engine: empty reference")
-	}
-	switch kind {
-	case Kernel32:
-		return &swKernel[int32, int32]{label: "sw", ref: ref, cfg: cfg,
-			validate: sdtw.ValidateStages, ext: sdtw.ExtendShard, cellSeconds: swCellSeconds}, nil
-	case Kernel16:
-		return &swKernel[int16, int8]{label: "sw16", ref: ref, cfg: cfg,
-			validate: sdtw.ValidateStages16, ext: sdtw.ExtendShard16, cellSeconds: sw16CellSeconds}, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown kernel kind %d", int(kind))
-	}
+// swKernel is the software kernel: sdtw's int32 row sweep, with its AVX2
+// strip where the CPU has one. It is the only kernel whose reference
+// dimension the engine partitions (shardRow): the hardware kernel shards
+// inside the device instead (hw.TileGroup via NewHardwareTiles), and the
+// GPU kernel models whole-kernel launches.
+type swKernel struct {
+	ref []int8
+	cfg sdtw.IntConfig
 }
 
-// swKernel is the software kernel over one DP cell layout: sdtw.Row for
-// the 32-bit reference cells ("sw"), sdtw.Row16 for the packed 16-bit
-// saturating cells ("sw16"). The width-specific parts are fixed at
-// construction (newSoftwareKernel): the stage validator — the 16-bit one
-// bounds thresholds by the saturation ceiling — the per-shard sweep, and
-// the calibrated cell rate.
-type swKernel[C sdtw.CostCell, R sdtw.RunCell] struct {
-	label       string
-	ref         []int8
-	cfg         sdtw.IntConfig
-	validate    func([]sdtw.Stage) error
-	ext         sdtw.ShardExtend[C, R]
-	cellSeconds func() float64
+func (k *swKernel) name() string { return "sw" }
+func (k *swKernel) refLen() int  { return len(k.ref) }
+
+func (k *swKernel) extend(row *sdtw.Row, chunk []int8, _ *Stats) sdtw.IntResult {
+	return sdtw.Extend(row, chunk, k.ref, k.cfg)
 }
 
-func (k *swKernel[C, R]) name() string { return k.label }
-func (k *swKernel[C, R]) refLen() int  { return len(k.ref) }
-func (k *swKernel[C, R]) newRow() dpRow {
-	return &sdtw.Rows[C, R]{Cost: make([]C, len(k.ref)), Run: make([]R, len(k.ref))}
+// shardRow wraps a row in width-column shard views.
+func (k *swKernel) shardRow(row *sdtw.Row, width int) swPlan {
+	return swPlan{k: k, sr: sdtw.ShardRow(row, width)}
 }
 
-func (k *swKernel[C, R]) validateStages(stages []sdtw.Stage) error {
-	return k.validate(stages)
-}
-
-// extend runs the per-shard sweep over a single shard spanning the whole
-// reference, which is exactly sdtw.Extend / sdtw.Extend16.
-func (k *swKernel[C, R]) extend(row dpRow, chunk []int8, _ *Stats) sdtw.IntResult {
-	return k.ext(row.(*sdtw.Rows[C, R]), chunk, k.ref, k.cfg, nil, nil)
-}
-
-func (k *swKernel[C, R]) shardRow(row dpRow, width int) shardPlan {
-	return swPlan[C, R]{k: k, sr: sdtw.ShardRow(row.(*sdtw.Rows[C, R]), width)}
-}
-
-func (k *swKernel[C, R]) newHalo() any { return &sdtw.HaloOf[C, R]{} }
-
-func (k *swKernel[C, R]) serviceTime(chunkSamples int) time.Duration {
+func (k *swKernel) serviceTime(chunkSamples int) time.Duration {
 	if chunkSamples <= 0 {
 		return 0
 	}
 	cells := float64(chunkSamples) * float64(len(k.ref))
-	return time.Duration(cells * k.cellSeconds() * float64(time.Second))
+	return time.Duration(cells * swCellSeconds() * float64(time.Second))
 }
 
-// swPlan shards a row of the software kernel's cell layout.
-type swPlan[C sdtw.CostCell, R sdtw.RunCell] struct {
-	k  *swKernel[C, R]
-	sr *sdtw.Sharded[C, R]
+// swPlan is one read's reference-sharded DP state: fixed-width shard views
+// over the read's row, with halos chained between neighbours. A shard
+// extends independently of the columns to its right, given the left
+// neighbour's halo trace — legal because the hardware recurrence has no
+// intra-row dependency (internal/sdtw).
+type swPlan struct {
+	k  *swKernel
+	sr *sdtw.Sharded
 }
 
-func (p swPlan[C, R]) numShards() int          { return p.sr.NumShards() }
-func (p swPlan[C, R]) bounds(k int) (int, int) { return p.sr.Bounds(k) }
-func (p swPlan[C, R]) advance(n int)           { p.sr.Row().Samples += n }
-func (p swPlan[C, R]) extendShard(k int, chunk []int8, haloIn, haloOut any, _ *Stats) sdtw.IntResult {
+// extendShard consumes one normalized chunk on shard k, reading the left
+// neighbour's halo trace from haloIn and recording its own into haloOut
+// (both nil at the respective edges). Calls on disjoint shards are safe
+// to run concurrently — the pipeline's wavefront scheduler relies on it.
+func (p swPlan) extendShard(k int, chunk []int8, haloIn, haloOut *sdtw.Halo) sdtw.IntResult {
 	lo, hi := p.sr.Bounds(k)
-	var in, out *sdtw.HaloOf[C, R]
-	if haloIn != nil {
-		in = haloIn.(*sdtw.HaloOf[C, R])
-	}
-	if haloOut != nil {
-		out = haloOut.(*sdtw.HaloOf[C, R])
-	}
-	return p.k.ext(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, in, out)
+	return sdtw.ExtendShard(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, haloIn, haloOut)
 }
 
-func (p swPlan[C, R]) extend(chunk []int8) sdtw.IntResult {
-	return p.sr.Extend(chunk, p.k.ref, p.k.cfg, p.k.ext)
+// extend runs one normalized chunk through every shard serially, left to
+// right — the cache-blocked path: each shard's working set stays
+// cache-resident for the whole chunk. It advances the backing row itself.
+func (p swPlan) extend(chunk []int8) sdtw.IntResult {
+	return p.sr.Extend(chunk, p.k.ref, p.k.cfg)
 }
 
 // calibrateCellSeconds times one chunk extension of a freshly built DP
 // row over synthetic data and returns the best-of-reps seconds-per-cell —
 // the way a deployment would calibrate the software classifier against
-// its own host before promising a real-time channel count. Each cell
-// layout calibrates its own rate through its own sweep: the layouts have
-// different per-cell costs (packed loads, saturating stores), and the
-// scheduler's deadline accounting — and the flow-cell keep-up verdict
-// built on it — must see the real per-kernel rate.
-func calibrateCellSeconds[C sdtw.CostCell, R sdtw.RunCell](ext sdtw.ShardExtend[C, R]) float64 {
+// its own host before promising a real-time channel count. Each sweep
+// calibrates its own rate: the layouts have different per-cell costs
+// (vector strips, packed loads, saturating stores), and the scheduler's
+// deadline accounting — and the flow-cell keep-up verdict built on it —
+// must see the real per-kernel rate.
+func calibrateCellSeconds[C sdtw.CostCell, R sdtw.RunCell](extend func(*sdtw.Rows[C, R], []int8, []int8, sdtw.IntConfig) sdtw.IntResult) float64 {
 	const (
 		calRef   = 4096
 		calChunk = 256
@@ -202,7 +127,7 @@ func calibrateCellSeconds[C sdtw.CostCell, R sdtw.RunCell](ext sdtw.ShardExtend[
 	for r := 0; r < reps; r++ {
 		row.Reset()
 		start := time.Now()
-		ext(row, chunk, ref, cfg, nil, nil)
+		extend(row, chunk, ref, cfg)
 		if s := time.Since(start).Seconds() / (calRef * calChunk); s < best {
 			best = s
 		}
@@ -210,14 +135,15 @@ func calibrateCellSeconds[C sdtw.CostCell, R sdtw.RunCell](ext sdtw.ShardExtend[
 	return best
 }
 
-// swCellSeconds and sw16CellSeconds are the self-calibrated software DP
-// rates in seconds per cell for the 32-bit and packed 16-bit layouts,
-// each measured once per process. laneCellSeconds is the coarse tier's
-// lane-group kernel, calibrated once per process the same way.
+// The self-calibrated software DP rates in seconds per cell, each measured
+// once per process: swCellSeconds is the exact tier's int32 sweep,
+// coarseScalarCellSeconds the coarse tier's scalar 16-bit fallback (Score,
+// for groups the lane strip cannot take), and laneCellSeconds the coarse
+// tier's lane-group strip.
 var (
-	swCellSeconds   = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.ExtendShard) })
-	sw16CellSeconds = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.ExtendShard16) })
-	laneCellSeconds = sync.OnceValue(calibrateLaneCellSeconds)
+	swCellSeconds           = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.Extend) })
+	coarseScalarCellSeconds = sync.OnceValue(func() float64 { return calibrateCellSeconds(sdtw.Extend16) })
+	laneCellSeconds         = sync.OnceValue(calibrateLaneCellSeconds)
 )
 
 // calibrateLaneCellSeconds times one query scored against one full lane
@@ -306,16 +232,11 @@ type hwKernel struct {
 	dev tileDevice
 }
 
-func (k *hwKernel) name() string  { return "hw" }
-func (k *hwKernel) refLen() int   { return k.dev.RefLen() }
-func (k *hwKernel) newRow() dpRow { return sdtw.NewRow(k.dev.RefLen()) }
+func (k *hwKernel) name() string { return "hw" }
+func (k *hwKernel) refLen() int  { return k.dev.RefLen() }
 
-func (k *hwKernel) validateStages(stages []sdtw.Stage) error {
-	return sdtw.ValidateStages(stages)
-}
-
-func (k *hwKernel) extend(row dpRow, chunk []int8, st *Stats) sdtw.IntResult {
-	res, cs := k.dev.ExtendRow(chunk, row.(*sdtw.Row), 0, false)
+func (k *hwKernel) extend(row *sdtw.Row, chunk []int8, st *Stats) sdtw.IntResult {
+	res, cs := k.dev.ExtendRow(chunk, row, 0, false)
 	// The normalizer front-end processes each chunk before the array sees
 	// it; its structural model (hw.Normalizer) owns the cycle cost.
 	st.Cycles += cs.Cycles + hw.NormCycles(len(chunk))
@@ -349,16 +270,11 @@ type gpuKernel struct {
 	dev gpu.Device
 }
 
-func (k *gpuKernel) name() string  { return "gpu" }
-func (k *gpuKernel) refLen() int   { return len(k.ref) }
-func (k *gpuKernel) newRow() dpRow { return sdtw.NewRow(len(k.ref)) }
+func (k *gpuKernel) name() string { return "gpu" }
+func (k *gpuKernel) refLen() int  { return len(k.ref) }
 
-func (k *gpuKernel) validateStages(stages []sdtw.Stage) error {
-	return sdtw.ValidateStages(stages)
-}
-
-func (k *gpuKernel) extend(row dpRow, chunk []int8, st *Stats) sdtw.IntResult {
-	res := sdtw.Extend(row.(*sdtw.Row), chunk, k.ref, k.cfg)
+func (k *gpuKernel) extend(row *sdtw.Row, chunk []int8, st *Stats) sdtw.IntResult {
+	res := sdtw.Extend(row, chunk, k.ref, k.cfg)
 	st.Latency += k.serviceTime(len(chunk))
 	return res
 }

@@ -309,7 +309,7 @@ func (c *Cascade) spawnHelpers() {
 // sends the group reference by reference through Score. Every score
 // sweeps all of its cells, so the modeled cell count is exact.
 func (c *Cascade) coarseServiceTime(g, qlen int) time.Duration {
-	rate := sw16CellSeconds
+	rate := coarseScalarCellSeconds
 	if c.lanes.Strip(g, qlen) {
 		rate = laneCellSeconds
 	}
@@ -460,13 +460,6 @@ func (p *coarsePass) drain() {
 			break
 		}
 		g := int(j)
-		// Acquire picks at random between a free slot and a done context;
-		// checking first makes a cancelled pass stop at its next claim,
-		// however few groups the panel has.
-		if err := p.ctx.Err(); err != nil {
-			p.fail(err)
-			break
-		}
 		var cost time.Duration
 		for k := range p.items {
 			cost += c.coarseServiceTime(g, len(p.items[k].q))

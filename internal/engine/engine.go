@@ -90,86 +90,26 @@ func ValidateStages(stages []sdtw.Stage) error {
 	return sdtw.ValidateStages(stages)
 }
 
-// dpRow is the resumable per-read DP state a kernel parks between stage
-// chunks. Each kernel owns a concrete row type — *sdtw.Row for the 32-bit
-// cell layout, *sdtw.Row16 for the packed 16-bit one — and the staging
-// layer only ever resets, pools, and hands rows back to the kernel that
-// minted them, so the layout never leaks past the kernel boundary.
-type dpRow interface {
-	// Reset returns the row to the boundary state for pool reuse.
-	Reset()
-	// Len returns the reference length the row covers.
-	Len() int
-}
-
 // kernel is the per-chunk DP extension a back-end contributes. Everything
 // else — stage chunking, normalization, thresholds, decisions — is shared
 // in stager, which is what makes verdicts bit-identical across back-ends.
+// Every kernel extends the same int32 row (sdtw.Row) at the programmed
+// reference length, which is what the accelerator's last PE parks in DRAM
+// between stages.
 type kernel interface {
 	name() string
 	refLen() int
-	// newRow mints this kernel's DP row type at the programmed reference
-	// length; extend only ever sees rows from its own newRow.
-	newRow() dpRow
-	// validateStages checks a stage schedule against this kernel's cell
-	// representation — the 16-bit kernel additionally bounds thresholds by
-	// its saturation ceiling (sdtw.ValidateStages16).
-	validateStages(stages []sdtw.Stage) error
 	// extend consumes one normalized chunk, updating row in place, and
 	// returns the best cost over the row; performance accounting
 	// accumulates into st.
-	extend(row dpRow, chunk []int8, st *Stats) sdtw.IntResult
+	extend(row *sdtw.Row, chunk []int8, st *Stats) sdtw.IntResult
 	// serviceTime models the wall-clock cost of one extend call over a
 	// normalized chunk of chunkSamples samples — the price the scheduler
 	// charges a task. The hardware kernel derives it exactly from the
 	// tile/tile-group cycle ledger at the synthesized clock; the GPU
-	// kernel from the calibrated device envelope; the software kernels
-	// self-calibrate a cells-per-second rate on first use, once per cell
-	// layout.
+	// kernel from the calibrated device envelope; the software kernel
+	// self-calibrates a cells-per-second rate on first use.
 	serviceTime(chunkSamples int) time.Duration
-}
-
-// shardPlan is one read's reference-sharded DP state: fixed-width shard
-// views over the kernel's row type, with the kernel's halo type chained
-// between neighbours. Plans come from shardKernel.shardRow and keep the
-// concrete row/halo layout opaque to the staging and scheduling layers —
-// halos travel as `any` values minted by shardKernel.newHalo.
-type shardPlan interface {
-	// numShards returns the shard count.
-	numShards() int
-	// bounds returns shard k's half-open global column range [lo, hi).
-	bounds(k int) (lo, hi int)
-	// extendShard consumes one normalized chunk on shard k, reading the
-	// left neighbour's halo trace from haloIn and recording its own into
-	// haloOut (both nil at the respective edges, otherwise values from
-	// newHalo). Implementations must be safe for concurrent calls on
-	// disjoint shards — the pipeline's wavefront scheduler relies on it.
-	extendShard(k int, chunk []int8, haloIn, haloOut any, st *Stats) sdtw.IntResult
-	// advance records n consumed query samples on the backing row after
-	// the wavefront has run a chunk on every shard.
-	advance(n int)
-	// extend runs one normalized chunk through every shard serially, left
-	// to right, halos chaining through sdtw's one serial loop
-	// (Sharded.ExtendWith) — the cache-blocked path: each shard's working
-	// set stays cache-resident for the whole chunk. It advances the
-	// backing row itself.
-	extend(chunk []int8) sdtw.IntResult
-}
-
-// shardKernel is a kernel whose reference dimension can be partitioned:
-// a shard extends independently of the columns to its right, given the
-// left neighbour's halo trace — legal because the hardware recurrence has
-// no intra-row dependency (internal/sdtw). The software kernels implement
-// it; the hardware kernel shards inside the device instead (hw.TileGroup
-// via NewHardwareTiles), and the GPU kernel models whole-kernel launches,
-// so neither needs to.
-type shardKernel interface {
-	kernel
-	// shardRow wraps one of this kernel's rows in width-column shard views.
-	shardRow(row dpRow, width int) shardPlan
-	// newHalo mints an empty boundary trace of this kernel's halo type,
-	// for the pipeline wavefront's halo pool.
-	newHalo() any
 }
 
 // stager implements Backend over a kernel: the single normalization and
@@ -187,7 +127,7 @@ type stager struct {
 
 func newStager(k kernel) *stager {
 	s := &stager{k: k}
-	s.pool.New = func() any { return newSessionState(k.newRow()) }
+	s.pool.New = func() any { return newSessionState(sdtw.NewRow(k.refLen())) }
 	return s
 }
 
@@ -201,12 +141,12 @@ func (s *stager) newSession(stages []sdtw.Stage) *Session {
 	ps := s.pool.Get().(*sessionState)
 	row := ps.row
 	row.Reset()
-	extend := func(row dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error) {
+	extend := func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		return s.k.extend(row, chunk, st), nil
 	}
 	if s.shardWidth > 0 {
-		plan := s.k.(shardKernel).shardRow(row, s.shardWidth)
-		extend = func(_ dpRow, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
+		plan := s.k.(*swKernel).shardRow(row, s.shardWidth)
+		extend = func(_ *sdtw.Row, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
 			return plan.extend(chunk), nil
 		}
 	}
@@ -215,7 +155,7 @@ func (s *stager) newSession(stages []sdtw.Stage) *Session {
 
 // NewSession starts an incremental classification of one read.
 func (s *stager) NewSession(stages []sdtw.Stage) (*Session, error) {
-	if err := s.k.validateStages(stages); err != nil {
+	if err := sdtw.ValidateStages(stages); err != nil {
 		return nil, err
 	}
 	return s.newSession(stages), nil

@@ -94,17 +94,10 @@ func NewPipeline(factory func() (Backend, error), instances int, stages []sdtw.S
 		shards:      1,
 	}
 	if st, ok := insts[0].(*stager); ok {
-		// The kernel owns the cell layout: it re-validates the schedule
-		// (the 16-bit kernel bounds thresholds by its saturation ceiling)
-		// and mints the pooled rows sessions park between stages.
-		if err := st.k.validateStages(stages); err != nil {
-			return nil, err
-		}
 		p.svc = st.k.serviceTime
-		p.rows.New = func() any { return newSessionState(st.k.newRow()) }
-	} else {
-		p.rows.New = func() any { return newSessionState(sdtw.NewRow(refLen)) }
 	}
+	p.rows.New = func() any { return newSessionState(sdtw.NewRow(refLen)) }
+	p.halos.New = func() any { return new(sdtw.Halo) }
 	return p, nil
 }
 
@@ -129,11 +122,9 @@ func (p *Pipeline) SetShards(shards int) error {
 		return fmt.Errorf("engine: pipeline back-ends do not support incremental sessions")
 	}
 	// Every instance comes from the same factory; inspecting one suffices.
-	sk, ok := p.insts[0].(*stager).k.(shardKernel)
-	if !ok {
+	if _, ok := p.insts[0].(*stager).k.(*swKernel); !ok {
 		return fmt.Errorf("engine: %s back-end cannot extend reference shards (hw shards across tiles via NewHardwareTiles instead)", p.insts[0].Name())
 	}
-	p.halos.New = func() any { return sk.newHalo() }
 	width := sdtw.ShardWidth(p.refLen, shards)
 	if width >= p.refLen {
 		p.shards, p.shardWidth = 1, 0
@@ -261,7 +252,7 @@ func (p *Pipeline) NewSessionContext(ctx context.Context) (*Session, error) {
 	ps := p.rows.Get().(*sessionState)
 	row := ps.row
 	row.Reset()
-	extend := func(row dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error) {
+	extend := func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		var r sdtw.IntResult
 		err := p.do(ctx, p.ServiceTime(len(chunk)), func(b Backend) {
 			r = b.(*stager).k.extend(row, chunk, st)
@@ -269,7 +260,7 @@ func (p *Pipeline) NewSessionContext(ctx context.Context) (*Session, error) {
 		return r, err
 	}
 	if p.shardWidth > 0 {
-		plan := p.insts[0].(*stager).k.(shardKernel).shardRow(row, p.shardWidth)
+		plan := p.insts[0].(*stager).k.(*swKernel).shardRow(row, p.shardWidth)
 		extend = p.shardedExtend(ctx, plan)
 	}
 	return newSession(p.stages, ps, extend, func(ps *sessionState) { p.rows.Put(ps) }), nil
@@ -283,9 +274,9 @@ func (p *Pipeline) NewSessionContext(ctx context.Context) (*Session, error) {
 // unsharded work can share the pool without deadlock. On cancellation a
 // shard propagates a nil halo to its right neighbour, which unwinds the
 // whole wavefront without blocking.
-func (p *Pipeline) shardedExtend(ctx context.Context, plan shardPlan) func(dpRow, []int8, *Stats) (sdtw.IntResult, error) {
-	return func(_ dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error) {
-		S := plan.numShards()
+func (p *Pipeline) shardedExtend(ctx context.Context, plan swPlan) func(*sdtw.Row, []int8, *Stats) (sdtw.IntResult, error) {
+	return func(_ *sdtw.Row, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
+		S := plan.sr.NumShards()
 		nb := (len(chunk) + shardBlockSamples - 1) / shardBlockSamples
 		if nb == 0 {
 			// Defensive: the session never feeds an empty stage chunk.
@@ -293,14 +284,12 @@ func (p *Pipeline) shardedExtend(ctx context.Context, plan shardPlan) func(dpRow
 		}
 		// Buffered boundary channels let a fast left shard run ahead
 		// through every block without blocking on its right neighbour.
-		// Halos travel as the kernel's opaque type (shardKernel.newHalo);
-		// a nil value signals the sender unwound.
-		bounds := make([]chan any, S-1)
+		// A nil halo signals the sender unwound.
+		bounds := make([]chan *sdtw.Halo, S-1)
 		for i := range bounds {
-			bounds[i] = make(chan any, nb)
+			bounds[i] = make(chan *sdtw.Halo, nb)
 		}
 		results := make([]sdtw.IntResult, S)
-		perShard := make([]Stats, S)
 		errs := make([]error, S)
 		// A block is priced at its share of the full-row chunk extension.
 		blockCost := time.Duration(0)
@@ -314,7 +303,7 @@ func (p *Pipeline) shardedExtend(ctx context.Context, plan shardPlan) func(dpRow
 				defer wg.Done()
 				aborted := false
 				for b := 0; b < nb; b++ {
-					var in any
+					var in *sdtw.Halo
 					if k > 0 {
 						// A nil halo from the left neighbour signals that
 						// it unwound; propagate and stop computing.
@@ -334,11 +323,11 @@ func (p *Pipeline) shardedExtend(ctx context.Context, plan shardPlan) func(dpRow
 								blockHi = len(chunk)
 							}
 							block := chunk[blockLo:blockHi]
-							var out any
+							var out *sdtw.Halo
 							if k < S-1 {
-								out = p.halos.Get()
+								out = p.halos.Get().(*sdtw.Halo)
 							}
-							r := plan.extendShard(k, block, in, out, &perShard[k])
+							r := plan.extendShard(k, block, in, out)
 							p.sch.Release(idx)
 							if in != nil {
 								p.halos.Put(in)
@@ -369,13 +358,10 @@ func (p *Pipeline) shardedExtend(ctx context.Context, plan shardPlan) func(dpRow
 		}
 		best := sdtw.IntResult{EndPos: -1}
 		for k := 0; k < S; k++ {
-			lo, _ := plan.bounds(k)
+			lo, _ := plan.sr.Bounds(k)
 			best = sdtw.MergeShardResult(best, results[k], lo)
-			st.Cycles += perShard[k].Cycles
-			st.DRAMBytes += perShard[k].DRAMBytes
-			st.Latency += perShard[k].Latency
 		}
-		plan.advance(len(chunk))
+		plan.sr.Row().Samples += len(chunk)
 		return best, nil
 	}
 }

@@ -198,8 +198,13 @@ func (s *Scheduler) Now() time.Duration { return time.Since(s.epoch) }
 // index when its DP work is done, and must not block on anything else
 // while holding it — that invariant is what keeps mixed sharded/unsharded
 // load deadlock-free on small pools. On context cancellation the task
-// leaves the queue and Acquire returns the context's error.
+// leaves the queue and Acquire returns the context's error; a context
+// already done when Acquire is called never queues, so it never gets an
+// instance.
 func (s *Scheduler) Acquire(ctx context.Context, t Task) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	w := getWaiter(t.Deadline, t.Cost, s.Now())
 	s.mu.Lock()
 	w.seq = s.seq

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +220,24 @@ func TestSchedulerCancelledWaiter(t *testing.T) {
 	s.Release(idx2)
 }
 
+// TestSchedulerAcquireCancelledContext: a context already done when
+// Acquire is called never gets an instance, even on an idle scheduler
+// where a free grant is ready at once.
+func TestSchedulerAcquireCancelledContext(t *testing.T) {
+	s := New(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		if idx, err := s.Acquire(ctx, Task{}); err == nil {
+			s.Release(idx)
+			t.Fatalf("Acquire %d with a cancelled context was granted instance %d", i, idx)
+		}
+	}
+	if st := s.Stats(); st.Completed != 0 {
+		t.Fatalf("completed %d tasks, want 0", st.Completed)
+	}
+}
+
 // TestSchedulerEDFGrantOrder: with one instance held and several waiters
 // queued, the release grants the earliest deadline first.
 func TestSchedulerEDFGrantOrder(t *testing.T) {
@@ -290,25 +309,34 @@ func TestSchedulerAcquireReleaseAllocFree(t *testing.T) {
 }
 
 // TestSchedulerCancelRecyclesWaiter: cancellation paths return waiters
-// to the pool without corrupting the queue — after a burst of cancelled
-// Acquires the scheduler still grants and accounts normally.
+// to the pool without corrupting the queue — after a burst of Acquires
+// cancelled while queued the scheduler still grants and accounts
+// normally.
 func TestSchedulerCancelRecyclesWaiter(t *testing.T) {
 	s := New(1)
 	idx, err := s.Acquire(context.Background(), Task{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
 			if _, err := s.Acquire(ctx, Task{}); err == nil {
 				t.Error("cancelled Acquire returned no error")
 			}
 		}()
 	}
+	// Cancel only once every waiter is queued: a context already done
+	// never queues, so it would not exercise the recycling path.
+	for queued := 0; queued < 8; {
+		s.mu.Lock()
+		queued = len(s.queue)
+		s.mu.Unlock()
+		runtime.Gosched()
+	}
+	cancel()
 	for g := 0; g < 8; g++ {
 		<-done
 	}

@@ -38,7 +38,7 @@ type Session struct {
 	// for pipeline sessions it borrows an instance through the scheduler
 	// for the duration of the call and errors when the session's context
 	// is cancelled while waiting.
-	extend func(row dpRow, chunk []int8, st *Stats) (sdtw.IntResult, error)
+	extend func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error)
 	// release returns the pooled state to its pool once the session is
 	// decided.
 	release func(*sessionState)
@@ -46,7 +46,7 @@ type Session struct {
 	// st is the pooled state row, buf and norm were taken from; finish
 	// hands them back through it.
 	st       *sessionState
-	row      dpRow
+	row      *sdtw.Row
 	buf      []int16 // raw samples of the current incomplete stage chunk
 	norm     []int8  // normalized stage chunk, reused across stages
 	consumed int     // samples already normalized and extended
@@ -60,15 +60,15 @@ type Session struct {
 // read: the resumable DP row and the two staging buffers, which share the
 // row's lifetime so a warm back-end serves reads without allocating them.
 type sessionState struct {
-	row  dpRow
+	row  *sdtw.Row
 	buf  []int16
 	norm []int8
 }
 
-func newSessionState(row dpRow) any { return &sessionState{row: row} }
+func newSessionState(row *sdtw.Row) any { return &sessionState{row: row} }
 
 func newSession(stages []sdtw.Stage, ps *sessionState,
-	extend func(dpRow, []int8, *Stats) (sdtw.IntResult, error), release func(*sessionState)) *Session {
+	extend func(*sdtw.Row, []int8, *Stats) (sdtw.IntResult, error), release func(*sessionState)) *Session {
 	return &Session{
 		stages:  stages,
 		extend:  extend,

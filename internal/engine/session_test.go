@@ -265,8 +265,8 @@ func instrumentedSession(t *testing.T, ref []int8, stages []sdtw.Stage, releases
 		t.Fatal(err)
 	}
 	st := sw.(*stager)
-	row := st.k.newRow()
-	extend := func(row dpRow, chunk []int8, stats *Stats) (sdtw.IntResult, error) {
+	row := sdtw.NewRow(len(ref))
+	extend := func(row *sdtw.Row, chunk []int8, stats *Stats) (sdtw.IntResult, error) {
 		return st.k.extend(row, chunk, stats), nil
 	}
 	return newSession(stages, &sessionState{row: row}, extend, func(*sessionState) { *releases++ })

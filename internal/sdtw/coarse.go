@@ -9,11 +9,10 @@ import "sync/atomic"
 // time: scoring is single-shot ranking, not streaming — every Score call
 // starts from the boundary row — so one scratch Row16 sized to the longest
 // reference serves the entire panel: each call takes a prefix view of it,
-// clears that prefix, and runs ExtendShard16 over a single shard spanning
-// the reference. ScoreGroup scores a whole lane group with the vector
-// strip (lanes.go) where it applies, with the same results. The scratch
-// reuse is what keeps a 1,000-target coarse pass allocation-free after
-// construction.
+// clears that prefix, and runs Extend16 over it. ScoreGroup scores a
+// whole lane group with the vector strip (lanes.go) where it applies,
+// with the same results. The scratch reuse is what keeps a 1,000-target
+// coarse pass allocation-free after construction.
 //
 // A CoarseScorer is not safe for concurrent use (the scratch is shared
 // across calls); callers that fan scoring across workers pool one scorer
@@ -64,7 +63,7 @@ func (cs *CoarseScorer) Score(query []int8, i int) IntResult {
 	view := Row16{Cost: cs.scratch.Cost[:m], Run: cs.scratch.Run[:m]}
 	clear(view.Cost)
 	clear(view.Run)
-	return ExtendShard16(&view, query, ref, cs.lanes.cfg, nil, nil)
+	return Extend16(&view, query, ref, cs.lanes.cfg)
 }
 
 // BoundedResult is ScoreBounded's result: Score's IntResult plus the

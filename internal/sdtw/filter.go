@@ -75,39 +75,6 @@ func ValidateStages(stages []Stage) error {
 	return nil
 }
 
-// Saturation bounds of the 16-bit kernel (int16.go). Sat16Ceiling is the
-// identity ceiling: every cell whose 32-bit cost stays below it is
-// bit-identical in the 16-bit kernel. The guard band below the int16
-// maximum (32767) absorbs the saturation frontier — a clamped operand can
-// only influence cells within MatchBonus*BonusCap (100 at the paper's
-// defaults) of the ceiling per query sample, and the divergence dies
-// wherever any honest path is cheaper, so a 4096-cost band keeps it far
-// from any decision. Sat16MaxThreshold adds a further margin and is the
-// largest stage threshold ValidateStages16 admits: with every threshold
-// below it, the best-cost-vs-threshold comparison happens entirely in the
-// identical region and the 16-bit kernel's stage verdicts match the 32-bit
-// kernel's exactly (property-tested in int16_test.go:
-// TestInt16SaturationNeverFlipsVerdict).
-const (
-	Sat16Ceiling      = 32767 - 4096 // cells below this 32-bit cost are bit-identical
-	Sat16MaxThreshold = Sat16Ceiling - 1024
-)
-
-// ValidateStages16 checks a stage schedule for the 16-bit saturating
-// kernel: ValidateStages plus the saturation bound — every threshold must
-// sit at or below Sat16MaxThreshold so saturation cannot reach a verdict.
-func ValidateStages16(stages []Stage) error {
-	if err := ValidateStages(stages); err != nil {
-		return err
-	}
-	for i, s := range stages {
-		if s.Threshold > Sat16MaxThreshold {
-			return fmt.Errorf("sdtw: stage %d threshold %d exceeds the 16-bit saturation bound %d", i, s.Threshold, Sat16MaxThreshold)
-		}
-	}
-	return nil
-}
-
 // NewFilter programs a filter with a quantized reference squiggle and
 // stage schedule. Stages must have strictly increasing prefix lengths.
 func NewFilter(ref []int8, cfg IntConfig, stages []Stage) (*Filter, error) {

@@ -43,9 +43,9 @@ func DefaultIntConfig() IntConfig {
 // free-start boundary: zero cost everywhere with zero run length.
 //
 // The container is generic over the cell layout so that only the sweeps
-// are width-specific: Row is the 32-bit reference layout, Row16 the packed
-// 16-bit saturating one (int16.go). Either is exactly what the
-// accelerator's last PE streams to DRAM in multi-stage mode.
+// are width-specific: Row is the exact tier's 32-bit layout — exactly what
+// the accelerator's last PE streams to DRAM in multi-stage mode — and
+// Row16 the coarse tier's packed 16-bit saturating one (int16.go).
 type Rows[C CostCell, R RunCell] struct {
 	Cost []C
 	Run  []R

@@ -23,19 +23,15 @@ package sdtw
 //     halo is what the tile's last PE streams to its right neighbour
 //     (internal/hw's TileGroup).
 
-// HaloOf is the K-deep edge-column trace exchanged between adjacent
+// Halo is the K-deep edge-column trace exchanged between adjacent
 // reference shards: Cost[t] and Run[t] are the left shard's last-column DP
 // state after t query samples of the current extension (t = 0 is the state
-// before the extension began), in the same cell layout as the rows it
-// couples. In the accelerator this is exactly the stream a tile's last PE
-// produces, one cell per query row.
-type HaloOf[C CostCell, R RunCell] struct {
-	Cost []C
-	Run  []R
+// before the extension began). In the accelerator this is exactly the
+// stream a tile's last PE produces, one cell per query row.
+type Halo struct {
+	Cost []int32
+	Run  []int32
 }
-
-// Halo is the 32-bit kernel's halo (Halo16 is the packed one).
-type Halo = HaloOf[int32, int32]
 
 // NewHalo returns a halo with capacity for n query samples.
 func NewHalo(n int) *Halo {
@@ -44,10 +40,10 @@ func NewHalo(n int) *Halo {
 
 // Reserve resizes the halo to exactly n entries, reallocating only when it
 // grows past capacity — halo buffers are reused across chunks and shards.
-func (h *HaloOf[C, R]) Reserve(n int) {
+func (h *Halo) Reserve(n int) {
 	if cap(h.Cost) < n {
-		h.Cost = make([]C, n)
-		h.Run = make([]R, n)
+		h.Cost = make([]int32, n)
+		h.Run = make([]int32, n)
 		return
 	}
 	h.Cost = h.Cost[:n]
@@ -55,7 +51,7 @@ func (h *HaloOf[C, R]) Reserve(n int) {
 }
 
 // Len returns the number of entries the halo currently holds.
-func (h *HaloOf[C, R]) Len() int { return len(h.Cost) }
+func (h *Halo) Len() int { return len(h.Cost) }
 
 // Sweep names the 32-bit row sweep ExtendShard runs in this process:
 // "int32/avx2" where the CPU and OS support the vector strip, otherwise
@@ -180,23 +176,15 @@ func ExtendShard(shard *Row, query []int8, refShard []int8, cfg IntConfig, haloI
 // extension read and write the very same cells. The backing row remains the
 // single source of truth: stage snapshots (Clone), pool reuse (Reset), and
 // the hardware DRAM row format are unchanged.
-type Sharded[C CostCell, R RunCell] struct {
-	row    *Rows[C, R]
-	shards []Rows[C, R]
+type Sharded struct {
+	row    *Row
+	shards []Row
 	bounds []int // len(shards)+1 column offsets
 	// haloA/haloB ping-pong between adjacent shard boundaries during the
 	// serial blocked Extend; shard k's output halo is shard k+1's input,
 	// after which the buffer is free again for shard k+2's output.
-	haloA, haloB HaloOf[C, R]
+	haloA, haloB Halo
 }
-
-// ShardedRow is the sharded 32-bit row (ShardedRow16 is the packed one).
-type ShardedRow = Sharded[int32, int32]
-
-// ShardExtend is the width-specific per-shard kernel a sharded row runs:
-// ExtendShard for Row, ExtendShard16 for Row16. Everything around it —
-// shard views, halo chaining, result merging — is shared.
-type ShardExtend[C CostCell, R RunCell] func(shard *Rows[C, R], query []int8, refShard []int8, cfg IntConfig, haloIn, haloOut *HaloOf[C, R]) IntResult
 
 // ShardWidth returns the balanced shard width for a reference of m columns
 // split into the given number of shards: ceil(m/shards), with shards
@@ -218,7 +206,7 @@ func ShardWidth(m, shards int) int {
 // ShardRow wraps an existing row in shard views of the given width. Width
 // is clamped to [1, row.Len()]; a width at or past the row length yields a
 // single shard, making the sharded path degrade to the plain kernel.
-func ShardRow[C CostCell, R RunCell](row *Rows[C, R], width int) *Sharded[C, R] {
+func ShardRow(row *Row, width int) *Sharded {
 	m := row.Len()
 	if m == 0 {
 		panic("sdtw: cannot shard an empty row")
@@ -227,11 +215,11 @@ func ShardRow[C CostCell, R RunCell](row *Rows[C, R], width int) *Sharded[C, R] 
 		width = m
 	}
 	n := (m + width - 1) / width
-	sr := &Sharded[C, R]{row: row, shards: make([]Rows[C, R], n), bounds: make([]int, n+1)}
+	sr := &Sharded{row: row, shards: make([]Row, n), bounds: make([]int, n+1)}
 	for k := 0; k < n; k++ {
 		lo := k * width
 		hi := min(lo+width, m)
-		sr.shards[k] = Rows[C, R]{Cost: row.Cost[lo:hi:hi], Run: row.Run[lo:hi:hi], Samples: row.Samples}
+		sr.shards[k] = Row{Cost: row.Cost[lo:hi:hi], Run: row.Run[lo:hi:hi], Samples: row.Samples}
 		sr.bounds[k] = lo
 	}
 	sr.bounds[n] = m
@@ -240,22 +228,22 @@ func ShardRow[C CostCell, R RunCell](row *Rows[C, R], width int) *Sharded[C, R] 
 
 // NewShardedRow builds a fresh boundary row of length m pre-split into
 // width-column shards.
-func NewShardedRow(m, width int) *ShardedRow {
+func NewShardedRow(m, width int) *Sharded {
 	return ShardRow(NewRow(m), width)
 }
 
 // Row returns the backing full-length row.
-func (sr *Sharded[C, R]) Row() *Rows[C, R] { return sr.row }
+func (sr *Sharded) Row() *Row { return sr.row }
 
 // NumShards returns the shard count.
-func (sr *Sharded[C, R]) NumShards() int { return len(sr.shards) }
+func (sr *Sharded) NumShards() int { return len(sr.shards) }
 
 // Shard returns the k-th shard view. Extensions through the view update
 // the backing row in place.
-func (sr *Sharded[C, R]) Shard(k int) *Rows[C, R] { return &sr.shards[k] }
+func (sr *Sharded) Shard(k int) *Row { return &sr.shards[k] }
 
 // Bounds returns the k-th shard's half-open global column range [lo, hi).
-func (sr *Sharded[C, R]) Bounds(k int) (lo, hi int) {
+func (sr *Sharded) Bounds(k int) (lo, hi int) {
 	return sr.bounds[k], sr.bounds[k+1]
 }
 
@@ -278,16 +266,16 @@ func MergeShardResult(best IntResult, r IntResult, lo int) IntResult {
 // halo trace (haloOut, the ping-ponged haloA/haloB buffers) becomes shard
 // k+1's haloIn, per-shard bests fold through MergeShardResult, and the
 // backing row's sample count advances by n. This is the one serial
-// chaining loop every consumer shares — the software blocked kernel of
-// either cell width (Extend below, which the engine's serial sharded
-// path runs) and the multi-tile hardware group pass their own fn, so the
-// halo protocol cannot drift between them.
-func (sr *Sharded[C, R]) ExtendWith(n int, fn func(k, lo int, shard *Rows[C, R], haloIn, haloOut *HaloOf[C, R]) IntResult) IntResult {
+// chaining loop every consumer shares — the software blocked kernel
+// (Extend below, which the engine's serial sharded path runs) and the
+// multi-tile hardware group pass their own fn, so the halo protocol
+// cannot drift between them.
+func (sr *Sharded) ExtendWith(n int, fn func(k, lo int, shard *Row, haloIn, haloOut *Halo) IntResult) IntResult {
 	best := IntResult{EndPos: -1}
-	var in *HaloOf[C, R]
+	var in *Halo
 	for k := range sr.shards {
 		lo := sr.bounds[k]
-		var out *HaloOf[C, R]
+		var out *Halo
 		if k < len(sr.shards)-1 {
 			out = &sr.haloA
 			if k%2 == 1 {
@@ -301,20 +289,18 @@ func (sr *Sharded[C, R]) ExtendWith(n int, fn func(k, lo int, shard *Rows[C, R],
 	return best
 }
 
-// Extend consumes query samples across every shard with the row's own
-// per-shard kernel ext (ExtendShard or ExtendShard16) — the cache-blocked
-// form of Extend: shard k walks the whole query slice before shard k+1
-// starts, so a shard's working set (cost+run+reference, ~10 bytes/column
-// at 32 bits) stays cache-resident for the entire block instead of the
-// full row streaming through per sample. Halos chain between neighbours,
-// so the result and the backing row are bit-identical to the unsharded
-// kernel on the same inputs (property-tested in shard_test.go and
-// int16_test.go).
-func (sr *Sharded[C, R]) Extend(query []int8, ref []int8, cfg IntConfig, ext ShardExtend[C, R]) IntResult {
+// Extend consumes query samples across every shard with ExtendShard — the
+// cache-blocked form of Extend: shard k walks the whole query slice
+// before shard k+1 starts, so a shard's working set (cost+run+reference,
+// ~10 bytes/column) stays cache-resident for the entire block instead of
+// the full row streaming through per sample. Halos chain between
+// neighbours, so the result and the backing row are bit-identical to the
+// unsharded kernel on the same inputs (property-tested in shard_test.go).
+func (sr *Sharded) Extend(query []int8, ref []int8, cfg IntConfig) IntResult {
 	if len(ref) != sr.row.Len() {
 		panic("sdtw: row/reference length mismatch")
 	}
-	return sr.ExtendWith(len(query), func(_, lo int, shard *Rows[C, R], haloIn, haloOut *HaloOf[C, R]) IntResult {
-		return ext(shard, query, ref[lo:lo+shard.Len()], cfg, haloIn, haloOut)
+	return sr.ExtendWith(len(query), func(_, lo int, shard *Row, haloIn, haloOut *Halo) IntResult {
+		return ExtendShard(shard, query, ref[lo:lo+shard.Len()], cfg, haloIn, haloOut)
 	})
 }

@@ -1,6 +1,6 @@
 package sdtw
 
-// The 16-bit row sweeps: ExtendShard16's per-cell inner loops, in this
+// The 16-bit row sweeps: Extend16's per-cell inner loops, in this
 // file so the CI bounds-check audit covers them alongside sweep.go. Same
 // structure as the 32-bit strips — 4-wide unrolling, branchless selection,
 // slice-advance loops for bounds-check elimination — with the cell math in
@@ -9,8 +9,8 @@ package sdtw
 // moves per cell; everything else is identical to sweep.go.
 
 // sweepRow16 advances one query sample q across columns [1, m) of a packed
-// shard row in place. diagCost/diagRun are the previous row's column-0
-// state widened to int32; bonus, cap_ and one are ExtendShard16's
+// row in place. diagCost/diagRun are the previous row's column-0
+// state widened to int32; bonus, cap_ and one are Extend16's
 // pre-resolved constants (cap_ already capped at MaxInt8).
 func sweepRow16(cost []int16, run []int8, ref []int8, q, diagCost, diagRun, bonus, cap_, one int32) {
 	m := len(cost)

@@ -9,7 +9,7 @@ import (
 )
 
 // sweepCase is one row update: a query sample against columns [1, m) of
-// cost/run/ref at offset off into a longer backing array (ShardedRow views
+// cost/run/ref at offset off into a longer backing array (Sharded views
 // alias the backing row at arbitrary column offsets, so the strip sees
 // unaligned starts).
 type sweepCase struct {

@@ -14,15 +14,15 @@ cd "$(dirname "$0")/.."
 # - Panel sessions: streamed panel verdicts are chunking-invariant and
 #   pruning never changes the winner.
 # - Sharding: sharded sw/hw rows stay bit-identical to the unsharded
-#   kernel at every layer, for the packed 16-bit row as well as the
-#   32-bit one (both share sdtw's one generic shard container).
+#   kernel at every layer.
 # - Vector strips: the AVX2 row sweep is bit-identical to the scalar one,
 #   and the coarse lane-group strip to the scalar Score for every lane.
 # - Scheduler: every concurrency path dispatches through
 #   internal/engine/sched with verdicts identical to serial
 #   classification, mixed load stays deadlock-free on one instance, the
-#   virtual-time twin is deterministic, and the 512-channel keep-up
-#   verdict cross-validates against the runtime model.
+#   virtual-time twin is deterministic, a context already cancelled
+#   never gets an instance, and the 512-channel keep-up verdict
+#   cross-validates against the runtime model.
 # - Cascade: the coarse tier never drops the exact panel's winner, and
 #   TopK >= the panel size is bit-identical to a plain panel.
 # - Coarse pass: the pooled multi-participant pass commits the survivors
@@ -37,12 +37,10 @@ cd "$(dirname "$0")/.."
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity
-./internal/sdtw TestSharded16MatchesUnsharded16 TestExtendShard16HaloChaining
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
 ./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
-./internal/engine TestKernel16ShardedParity
 ./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestClassifyStreamCancelled TestSessionFeedCancelled
-./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder
+./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder TestSchedulerAcquireCancelledContext
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
 . TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity
 ./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers

@@ -121,12 +121,12 @@ type DetectorConfig struct {
 	// bit-identical to unsharded ones by construction; the GPU baseline
 	// models whole-kernel launches and ignores Shards.
 	Shards int
-	// Kernel selects the software DP cell layout: KernelInt32 (default,
-	// the reference 32-bit cells, with an AVX2 row sweep where the CPU
-	// has one) or KernelInt16 (packed saturating 16-bit cells, same
-	// verdicts at under half the row traffic, but scalar-only and
-	// currently the slower kernel — see KernelInt16). The hardware and
-	// GPU models are unaffected.
+	// Kernel must be KernelInt32 (the zero value); NewDetector rejects
+	// any other value.
+	//
+	// Deprecated: the software classifier has one DP cell layout, the
+	// int32 row with its AVX2 sweep. The field is kept only so existing
+	// callers compile.
 	Kernel Kernel
 	// Realtime, when set (ClockHz > 0), puts the detector's scheduler in
 	// deadline mode: every DP task carries a decision deadline of one
@@ -171,27 +171,33 @@ func (rc RealtimeConfig) window() time.Duration {
 // threshold "relatively robust across species and sequencing runs".
 const DefaultThresholdPerSample = 3
 
-// Kernel selects the software classifier's DP cell layout.
+// Kernel names a software DP cell layout.
+//
+// Deprecated: the software classifier has one layout, KernelInt32.
 type Kernel int
 
 const (
-	// KernelInt32 is the reference layout: 32-bit costs and run counters.
+	// KernelInt32 is the software classifier's layout: 32-bit costs and
+	// run counters.
+	//
+	// Deprecated: it is the only layout; leave DetectorConfig.Kernel zero.
 	KernelInt32 Kernel = iota
-	// KernelInt16 is the packed saturating layout: 16-bit costs and 8-bit
-	// run counters — under half the DP-row memory traffic per cell, with
-	// verdicts identical to KernelInt32 on every schedule it admits. Its
-	// row sweep is scalar-only, so today it is the slower software
-	// kernel: KernelInt32's AVX2 sweep runs about 8x faster where the CPU
-	// has AVX2 (EXPERIMENTS.md, "Roofline after the AVX2 int32 strip").
-	// It requires every stage threshold to sit at or below
-	// sdtw.Sat16MaxThreshold (about 26,600 cost units — an order of
-	// magnitude above any calibrated ejection threshold); NewDetector
-	// rejects hotter schedules.
+	// KernelInt16 named a packed saturating 16-bit exact kernel that has
+	// been removed; NewDetector rejects it.
+	//
+	// Deprecated: use the default KernelInt32.
 	KernelInt16
 )
 
-// String names the kernel as back-ends and tools report it.
-func (k Kernel) String() string { return engine.KernelKind(k).String() }
+// String names the kernel as tools report it.
+//
+// Deprecated: see Kernel.
+func (k Kernel) String() string {
+	if k == KernelInt32 {
+		return "int32"
+	}
+	return fmt.Sprintf("Kernel(%d)", int(k))
+}
 
 // Detector classifies raw nanopore read prefixes against one target
 // genome. It is safe for concurrent use.
@@ -201,7 +207,6 @@ type Detector struct {
 	filter   *sdtw.Filter
 	cfg      sdtw.IntConfig
 	stages   []sdtw.Stage
-	kernel   Kernel
 	realtime RealtimeConfig
 
 	sw     engine.Backend   // direct software path (concurrency-safe)
@@ -212,6 +217,9 @@ type Detector struct {
 
 // NewDetector builds and programs a detector.
 func NewDetector(cfg DetectorConfig) (*Detector, error) {
+	if cfg.Kernel != KernelInt32 {
+		return nil, fmt.Errorf("squigglefilter: kernel %v is not supported; the only kernel is int32", cfg.Kernel)
+	}
 	seq, err := genome.FromString(cfg.Sequence)
 	if err != nil {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
@@ -254,10 +262,9 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	kind := engine.KernelKind(cfg.Kernel)
 	// The one-shot software back-end uses the serial cache-blocked sharded
 	// path; the pipeline below layers intra-read parallelism on top.
-	swBackend, err := engine.NewSoftwareShardedKernel(ref.Int8, icfg, shards, kind)
+	swBackend, err := engine.NewSoftwareSharded(ref.Int8, icfg, shards)
 	if err != nil {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
 	}
@@ -266,7 +273,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
 	}
 	swPipe, err := engine.NewPipeline(func() (engine.Backend, error) {
-		return engine.NewSoftwareKernel(ref.Int8, icfg, kind)
+		return engine.NewSoftware(ref.Int8, icfg)
 	}, workers, internalStages)
 	if err != nil {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
@@ -304,7 +311,6 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 		filter:   filter,
 		cfg:      icfg,
 		stages:   internalStages,
-		kernel:   cfg.Kernel,
 		realtime: cfg.Realtime,
 		sw:       swBackend,
 		gpu:      gpuBackend,
@@ -327,9 +333,10 @@ func (d *Detector) Workers() int { return d.swPipe.Workers() }
 // classification paths (1 when unsharded).
 func (d *Detector) Shards() int { return d.swPipe.Shards() }
 
-// Kernel returns the software DP cell layout the detector classifies
-// with.
-func (d *Detector) Kernel() Kernel { return d.kernel }
+// Kernel returns KernelInt32, the only software DP cell layout.
+//
+// Deprecated: see Kernel.
+func (d *Detector) Kernel() Kernel { return KernelInt32 }
 
 // Realtime returns the configured real-time provisioning (zero when the
 // detector schedules best-effort).

@@ -43,6 +43,14 @@ func TestNewDetectorValidation(t *testing.T) {
 	if _, err := NewDetector(DetectorConfig{Sequence: "ACGT"}); err == nil {
 		t.Error("too-short reference accepted")
 	}
+	// int32 is the only software kernel; the deprecated field rejects
+	// everything else.
+	valid := genome.Random(rand.New(rand.NewSource(3)), 1000).String()
+	for _, k := range []Kernel{KernelInt16, Kernel(7)} {
+		if _, err := NewDetector(DetectorConfig{Sequence: valid, Kernel: k}); err == nil {
+			t.Errorf("Kernel %v accepted", k)
+		}
+	}
 	// A genome beyond one tile's 100 KB buffer now builds: the hardware
 	// model shards it across cooperating tiles (it was rejected before
 	// multi-tile support).
@@ -327,45 +335,5 @@ func TestRealtimeConfigAndSchedStats(t *testing.T) {
 	// A best-effort detector never records lateness.
 	if got := base.SchedStats(); got.Late != 0 {
 		t.Errorf("best-effort detector recorded %d late tasks", got.Late)
-	}
-}
-
-// TestDetectorKernel16Parity threads DetectorConfig.Kernel end to end:
-// a KernelInt16 detector — plain, sharded, batch, and streaming — must be
-// bit-identical to the default KernelInt32 detector, and must reject
-// stage schedules whose thresholds exceed the 16-bit saturation bound.
-func TestDetectorKernel16Parity(t *testing.T) {
-	det, g := testDetector(t, nil)
-	det16, err := NewDetector(DetectorConfig{Name: g.Name, Sequence: g.Seq.String(), Kernel: KernelInt16, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det16.Kernel() != KernelInt16 || det16.Kernel().String() != "int16" {
-		t.Fatalf("kernel = %v, want int16", det16.Kernel())
-	}
-	targets, hosts := simReads(t, g, 5)
-	reads := append(targets, hosts...)
-	want := det.ClassifyBatch(reads)
-	got := det16.ClassifyBatch(reads)
-	for i := range reads {
-		if got[i] != want[i] {
-			t.Fatalf("read %d: int16 batch %+v != int32 %+v", i, got[i], want[i])
-		}
-		if v := det16.Classify(reads[i]); v != want[i] {
-			t.Fatalf("read %d: int16 Classify %+v != int32 %+v", i, v, want[i])
-		}
-		sess := det16.NewSession()
-		if v, _ := sess.Stream(reads[i], 400); v != want[i] {
-			t.Fatalf("read %d: int16 session %+v != int32 %+v", i, v, want[i])
-		}
-	}
-	// Thresholds above the saturation bound are rejected at construction.
-	if _, err := NewDetector(DetectorConfig{
-		Name:     g.Name,
-		Sequence: g.Seq.String(),
-		Kernel:   KernelInt16,
-		Stages:   []Stage{{PrefixSamples: 2000, Threshold: 1 << 20}},
-	}); err == nil {
-		t.Error("int16 detector accepted a threshold above the saturation bound")
 	}
 }
