@@ -79,7 +79,8 @@ func encodeDetectorConfig(cfg DetectorConfig, chunk int) []byte {
 	return append(out, byte(cfg.Shards), byte(cfg.Workers), byte((chunk-1)>>1))
 }
 
-// FuzzDetectorConfig: NewDetector never panics on any decoded config, and
+// FuzzDetectorConfig: NewDetector never panics on any decoded config, a
+// config it accepts with ClockHz > 0 has a positive deadline window, and
 // a config it accepts classifies the fixture read identically one-shot
 // (Classify) and streamed through a Session.
 func FuzzDetectorConfig(f *testing.F) {
@@ -102,6 +103,11 @@ func FuzzDetectorConfig(f *testing.F) {
 		det, err := NewDetector(cfg)
 		if err != nil {
 			return
+		}
+		if hz := cfg.Realtime.ClockHz; hz > 0 {
+			if w, err := cfg.Realtime.window(); err != nil || w <= 0 {
+				t.Fatalf("ClockHz %v accepted with deadline window %v (%v)", hz, w, err)
+			}
 		}
 		want := det.Classify(read)
 		got, _ := det.NewSession().Stream(read, chunk)

@@ -34,18 +34,20 @@ TEXT ·laneStrip16(SB), NOSPLIT, $0-84
 	SHLQ $5, R8
 	MOVQ n+64(FP), R10
 
-	// Broadcasts go through a general register, as in sweep_amd64.s.
+	// Broadcasts go through a general register and VMOVD, as in
+	// sweep_amd64.s: the strip is VEX-only, the per-row query broadcast
+	// below included, and exits through VZEROUPPER.
 	MOVL bonus+72(FP), AX
-	MOVD AX, X1
+	VMOVD AX, X1
 	VPBROADCASTW X1, Y1
 	MOVL cap_+76(FP), AX
-	MOVD AX, X2
+	VMOVD AX, X2
 	VPBROADCASTW X2, Y2
 	MOVL one+80(FP), AX
-	MOVD AX, X3
+	VMOVD AX, X3
 	VPBROADCASTW X3, Y3
 	MOVL $1, AX
-	MOVD AX, X4
+	VMOVD AX, X4
 	VPBROADCASTW X4, Y4
 
 	TESTQ R10, R10
@@ -53,7 +55,7 @@ TEXT ·laneStrip16(SB), NOSPLIT, $0-84
 
 row:
 	MOVBQSX (R9), AX
-	MOVD    AX, X0
+	VMOVD   AX, X0
 	VPBROADCASTW X0, Y0
 
 	// Column 0: vertical move only, run = min(run+1, cap_).

@@ -16,7 +16,11 @@ package sdtw
 //
 //   - cache blocking: walking one ~L2-sized shard through all K samples
 //     before moving right keeps the DP state hot instead of streaming the
-//     whole row per sample (Sharded.Extend is the blocked kernel);
+//     whole row per sample (Sharded.Extend is the blocked kernel). It
+//     pays once the row outgrows L2 (~16% on a 499,960-column row at
+//     width 65,536); on a row that fits L2, widths of 4,096 and up run
+//     within ~6% of the unsharded sweep (EXPERIMENTS.md "VEX-clean strip
+//     entry");
 //   - intra-read parallelism: (shard, sample-block) tasks form a wavefront
 //     a worker pool can schedule (internal/engine's sharded pipeline path);
 //   - multi-tile hardware: each shard is one tile's reference buffer, the

@@ -264,11 +264,14 @@ func BenchmarkRowReset(b *testing.B) {
 // unsharded versus cache-blocked at several shard widths. The long case
 // repeats the comparison on a ~500k-column reference, whose 4 MB row no
 // longer fits L2 — the regime the serial blocked path exists for. The
-// cells/sec metric is DP cell updates per second; GB/s is the DP-row
-// traffic those updates imply at the kernel's bytes/cell.
+// short case is one 1,590-column row, an 800-base cascade target's
+// both-strand reference: there every row is a single strip call, so it
+// is the case that shows a per-call cost. The cells/sec metric is DP
+// cell updates per second; GB/s is the DP-row traffic those updates
+// imply at the kernel's bytes/cell.
 func BenchmarkExtendShard(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	const n, m, longM = 2000, 59796, 499960
+	const n, m, longM, shortM = 2000, 59796, 499960, 1590
 	cfg := DefaultIntConfig()
 	bench := func(b *testing.B, query, ref []int8, width int) {
 		b.Helper()
@@ -289,5 +292,9 @@ func BenchmarkExtendShard(b *testing.B) {
 		query, ref := randShardInputs(rand.New(rand.NewSource(7)), n, longM)
 		b.Run("unsharded", func(b *testing.B) { bench(b, query, ref, longM) })
 		b.Run("width=65536", func(b *testing.B) { bench(b, query, ref, 65536) })
+	})
+	b.Run("short", func(b *testing.B) {
+		query, ref := randShardInputs(rand.New(rand.NewSource(7)), n, shortM)
+		bench(b, query, ref, shortM)
 	})
 }

@@ -41,7 +41,10 @@ func sweepStrip8(cost, run *int32, ref *int8, blocks int, q, bonus, cap_, one in
 
 // stripMinLen is the shortest row the vector strip is entered for: column
 // 0 (the caller's), the column-1 seam, and at least two 8-column blocks.
-// Shorter rows are not worth the broadcast setup.
+// The strip's VEX-only entry is cheap: an 18-column row takes 33–37 ns
+// on the strip against 77–101 ns scalar, and one block would win too.
+// Rows that short arise only as a narrow shard's tail, so the bound is
+// not tuned (EXPERIMENTS.md "VEX-clean strip entry").
 const stripMinLen = 2 + 16
 
 // sweepRowDispatch is sweepRow on the fastest path this CPU supports. The

@@ -45,21 +45,24 @@ TEXT ·sweepStrip8(SB), NOSPLIT, $0-56
 
 	// Broadcasts go through a general register: asmdecl checks a frame
 	// operand's width against the instruction, and VPBROADCASTD from
-	// memory with a Y destination reads as a 32-byte access.
+	// memory with a Y destination reads as a 32-byte access. Every
+	// instruction here is VEX-encoded (VMOVD, never MOVD): a legacy-SSE
+	// write to an X register while the upper YMM halves are dirty costs
+	// an SSE/AVX transition on every call. The one exit is VZEROUPPER.
 	MOVL q+32(FP), AX
-	MOVD AX, X0
+	VMOVD AX, X0
 	VPBROADCASTD X0, Y0
 	MOVL bonus+36(FP), AX
-	MOVD AX, X1
+	VMOVD AX, X1
 	VPBROADCASTD X1, Y1
 	MOVL cap_+40(FP), AX
-	MOVD AX, X2
+	VMOVD AX, X2
 	VPBROADCASTD X2, Y2
 	MOVL one+44(FP), AX
-	MOVD AX, X3
+	VMOVD AX, X3
 	VPBROADCASTD X3, Y3
 	MOVL $1, AX
-	MOVD AX, X4
+	VMOVD AX, X4
 	VPBROADCASTD X4, Y4
 
 	VMOVDQU -4(SI), Y5

@@ -16,7 +16,8 @@ cd "$(dirname "$0")/.."
 # - Sharding: sharded sw/hw rows stay bit-identical to the unsharded
 #   kernel at every layer.
 # - Vector strips: the AVX2 row sweep is bit-identical to the scalar one,
-#   and the coarse lane-group strip to the scalar Score for every lane.
+#   and the coarse lane-group strip to the scalar Score for every lane;
+#   both strips are VEX-only and exit through VZEROUPPER.
 # - Scheduler: every concurrency path dispatches through
 #   internal/engine/sched with verdicts identical to serial
 #   classification, mixed load stays deadlock-free on one instance, the
@@ -36,7 +37,7 @@ cd "$(dirname "$0")/.."
 #   batched tier.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
-./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity
+./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity TestAVX2StripsVEXOnly
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
 ./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
 ./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestClassifyStreamCancelled TestSessionFeedCancelled

@@ -52,6 +52,7 @@ package squigglefilter
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -148,7 +149,9 @@ type RealtimeConfig struct {
 	// ClockHz is the per-channel raw sample rate (~4,000 on a MinION).
 	// With the standard ~400-sample delivery granularity it sets the
 	// decision deadline window: a chunk's DP should finish before the
-	// next chunk lands, i.e. within 400/ClockHz seconds.
+	// next chunk lands, i.e. within 400/ClockHz seconds. NewDetector
+	// rejects a NaN or infinite ClockHz, and a positive one whose window
+	// is not between 1 ns and the largest time.Duration.
 	ClockHz float64
 }
 
@@ -158,12 +161,22 @@ type RealtimeConfig struct {
 const realtimeChunkSamples = 400
 
 // window converts the config to the scheduler's deadline window
-// (0 = best-effort).
-func (rc RealtimeConfig) window() time.Duration {
-	if rc.ClockHz <= 0 {
-		return 0
+// (0 = best-effort, for any finite ClockHz <= 0). A ClockHz that is NaN
+// or infinite, or positive but so small or so large that the window is
+// not a positive time.Duration, is an error: converting it would yield a
+// zero or out-of-range window that the scheduler treats as best-effort.
+func (rc RealtimeConfig) window() (time.Duration, error) {
+	if math.IsNaN(rc.ClockHz) || math.IsInf(rc.ClockHz, 0) {
+		return 0, fmt.Errorf("realtime ClockHz %v is not finite", rc.ClockHz)
 	}
-	return time.Duration(realtimeChunkSamples / rc.ClockHz * float64(time.Second))
+	if rc.ClockHz <= 0 {
+		return 0, nil
+	}
+	ns := realtimeChunkSamples / rc.ClockHz * float64(time.Second)
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("realtime ClockHz %v gives a %d-sample deadline window of %g ns, outside [1ns, %v]", rc.ClockHz, realtimeChunkSamples, ns, time.Duration(math.MaxInt64))
+	}
+	return time.Duration(ns), nil
 }
 
 // DefaultThresholdPerSample is a robust default ejection threshold in
@@ -219,6 +232,10 @@ type Detector struct {
 func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if cfg.Kernel != KernelInt32 {
 		return nil, fmt.Errorf("squigglefilter: kernel %v is not supported; the only kernel is int32", cfg.Kernel)
+	}
+	rtWindow, err := cfg.Realtime.window()
+	if err != nil {
+		return nil, fmt.Errorf("squigglefilter: %w", err)
 	}
 	seq, err := genome.FromString(cfg.Sequence)
 	if err != nil {
@@ -301,9 +318,9 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
 	}
-	if w := cfg.Realtime.window(); w > 0 {
-		swPipe.SetRealtime(w)
-		hwPipe.SetRealtime(w)
+	if rtWindow > 0 {
+		swPipe.SetRealtime(rtWindow)
+		hwPipe.SetRealtime(rtWindow)
 	}
 	return &Detector{
 		name:     cfg.Name,

@@ -1,6 +1,7 @@
 package squigglefilter
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -49,6 +50,20 @@ func TestNewDetectorValidation(t *testing.T) {
 	for _, k := range []Kernel{KernelInt16, Kernel(7)} {
 		if _, err := NewDetector(DetectorConfig{Sequence: valid, Kernel: k}); err == nil {
 			t.Errorf("Kernel %v accepted", k)
+		}
+	}
+	// A realtime clock must give a positive deadline window: non-finite
+	// clocks, and positive clocks whose 400-sample window rounds to zero
+	// (huge) or overflows time.Duration (tiny), are errors, not a silent
+	// best-effort detector. Finite clocks <= 0 select best-effort.
+	for _, hz := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-8, 1e300} {
+		if _, err := NewDetector(DetectorConfig{Sequence: valid, Realtime: RealtimeConfig{ClockHz: hz}}); err == nil {
+			t.Errorf("ClockHz %v accepted", hz)
+		}
+	}
+	for _, hz := range []float64{-1, 0, 4000} {
+		if _, err := NewDetector(DetectorConfig{Sequence: valid, Realtime: RealtimeConfig{ClockHz: hz}}); err != nil {
+			t.Errorf("ClockHz %v rejected: %v", hz, err)
 		}
 	}
 	// A genome beyond one tile's 100 KB buffer now builds: the hardware
