@@ -225,60 +225,6 @@ func (cs *CascadeSession) CoarseScorings() int64 { return cs.s.CoarseScorings() 
 // cells are its DPSamples × each target's reference length.
 func (cs *CascadeSession) DPCells() int64 { return cs.s.DPCells() }
 
-// CascadeBatch groups up to Lanes concurrent sessions into shared
-// coarse passes — the inter-read batched coarse tier. Sessions opened
-// through it pend when their buffers cross the coarse prefix; the
-// crossing that fills the batch (or an explicit Flush, or the first
-// pending session to Finalize) promotes the whole group in one coarse
-// pass that scores every pending read's dwell hypotheses against each
-// reference under one scheduler dispatch per (reference, batch) instead
-// of one pass per read. Survivor sets and verdicts are identical to
-// ungrouped sessions on the same reads. Drive a group's sessions from
-// one goroutine: a flush promotes and replays every pending session on
-// the flushing goroutine.
-type CascadeBatch struct {
-	cp *CascadePanel
-	b  *engine.CascadeBatch
-}
-
-// NewBatch starts an inter-read batch group of the given lane count
-// (the flush threshold: how many reads share one coarse pass, 1..4).
-func (cp *CascadePanel) NewBatch(lanes int) (*CascadeBatch, error) {
-	b, err := cp.cascade.NewBatch(lanes)
-	if err != nil {
-		return nil, fmt.Errorf("squigglefilter: %w", err)
-	}
-	return &CascadeBatch{cp: cp, b: b}, nil
-}
-
-// Lanes returns the batch width.
-func (cb *CascadeBatch) Lanes() int { return cb.b.Lanes() }
-
-// Pending returns how many sessions are pending a flush.
-func (cb *CascadeBatch) Pending() int { return cb.b.Pending() }
-
-// Flush promotes every pending session now, on a partial batch — for
-// drivers that know no more reads are coming soon.
-func (cb *CascadeBatch) Flush() error { return cb.b.Flush() }
-
-// NewSession starts an incremental cascade classification of one read
-// that promotes through this batch group.
-func (cb *CascadeBatch) NewSession(prune PrunePolicy) (*CascadeSession, error) {
-	return cb.NewSessionContext(context.Background(), prune)
-}
-
-// NewSessionContext is NewSession bound to a context. The context of
-// whichever session triggers a flush governs the whole batched pass:
-// cancelling it mid-flush aborts every pending session (they share one
-// pass, so they share its fate).
-func (cb *CascadeBatch) NewSessionContext(ctx context.Context, prune PrunePolicy) (*CascadeSession, error) {
-	s, err := cb.b.NewSessionContext(ctx, engine.PrunePolicy{Enabled: prune.Enabled, MarginPerSample: int64(prune.MarginPerSample)})
-	if err != nil {
-		return nil, fmt.Errorf("squigglefilter: %w", err)
-	}
-	return &CascadeSession{cp: cb.cp, s: s}, nil
-}
-
 // Stream classifies one read through a fresh cascade session in
 // chunkSamples-sized deliveries under the given pruning policy.
 func (cp *CascadePanel) Stream(samples []int16, chunkSamples int, prune PrunePolicy) (PanelVerdict, bool, error) {

@@ -8,7 +8,7 @@
 //	sfrun -data sample.sqgl -ref ref.txt -rt [-channels 512] [-rt-sec 60]
 //	      [-backend sw|hw|gpu]
 //	sfrun -data sample.sqgl -panel refA.txt,refB.txt,... [-stream]
-//	      [-cascade [-topk K] [-decimate D] [-coarse-batch B]] [-prune-margin M]
+//	      [-cascade [-topk K] [-decimate D]] [-prune-margin M]
 //	      [-threshold N] [-prefix 2000] [-shards S]
 //
 // Without -threshold, the threshold is calibrated on the dataset's ground
@@ -55,12 +55,6 @@
 // (0 keeps them); the report adds survivors/read and the coarse tier's
 // DP cost. -topk at or above the panel size degenerates to the plain
 // panel, bit-identically.
-//
-// -coarse-batch B (1..4, with -cascade) groups B concurrent reads into
-// one batched coarse pass: their prefixes pend until the group fills,
-// then one pass scores all of them against every target with one
-// scheduler dispatch per (reference, batch) instead of one pass per read.
-// Survivor sets and verdicts are identical to -coarse-batch 1.
 package main
 
 import (
@@ -178,7 +172,6 @@ func main() {
 	cascade := flag.Bool("cascade", false, "filter the panel through the coarse cascade tier before exact classification")
 	topk := flag.Int("topk", 0, "cascade survivors per read-rate hypothesis (0 = default)")
 	decimate := flag.Int("decimate", 0, "cascade coarse-tier decimation factor (0 = default)")
-	coarseBatch := flag.Int("coarse-batch", 1, "reads per shared coarse pass (1 = one pass per read; up to 4, needs -cascade)")
 	rt := flag.Bool("rt", false, "run the real-time flow-cell simulation (virtual clock, deadline-aware scheduler) instead of batch classification")
 	channels := flag.Int("channels", 512, "flow-cell channel count for -rt")
 	rtSec := flag.Float64("rt-sec", 60, "simulated seconds for -rt")
@@ -202,12 +195,6 @@ func main() {
 	if (*topk != 0 || *decimate != 0) && !*cascade {
 		log.Fatalf("-topk and -decimate configure the cascade; add -cascade")
 	}
-	if *coarseBatch != 1 && !*cascade {
-		log.Fatalf("-coarse-batch batches the cascade's coarse tier; add -cascade")
-	}
-	if *coarseBatch < 1 {
-		log.Fatalf("-coarse-batch must be at least 1, got %d", *coarseBatch)
-	}
 
 	f, err := os.Open(*dataPath)
 	if err != nil {
@@ -228,7 +215,7 @@ func main() {
 
 	if *panelRefs != "" {
 		runPanel(reads, *panelRefs, *prefix, int32(*threshold), *stream, *chunk, *pruneMargin, *shards,
-			*cascade, *topk, *decimate, *coarseBatch)
+			*cascade, *topk, *decimate)
 		return
 	}
 
@@ -404,7 +391,7 @@ func runRealtime(reads []*squiggle.Read, seq, backend string, workers, prefix in
 // optional cross-target pruning, and prints a per-target summary table.
 // With cascade set, reads run through the two-tier CascadePanel instead:
 // the coarse tier picks survivors per read and only they do exact DP.
-func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold int32, stream bool, chunk, pruneMargin, shards int, cascade bool, topk, decimate, coarseBatch int) {
+func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold int32, stream bool, chunk, pruneMargin, shards int, cascade bool, topk, decimate int) {
 	if threshold == 0 {
 		threshold = int32(prefix) * squigglefilter.DefaultThresholdPerSample
 	}
@@ -436,8 +423,8 @@ func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold in
 		}
 		panel = cp.Panel()
 		cc := cp.Config()
-		fmt.Printf("config: backend=sw sweep=%s coarse=%s targets=%d shards=%d cascade decimate=%d topk=%d coarse-prefix=%d coarse-batch=%d\n",
-			sdtw.Sweep(), sdtw.CoarseSweep(), len(panel.Targets()), shards, cc.Decimation, cc.TopK, cc.CoarsePrefix, coarseBatch)
+		fmt.Printf("config: backend=sw sweep=%s coarse=%s targets=%d shards=%d cascade decimate=%d topk=%d coarse-prefix=%d\n",
+			sdtw.Sweep(), sdtw.CoarseSweep(), len(panel.Targets()), shards, cc.Decimation, cc.TopK, cc.CoarsePrefix)
 	} else {
 		var err error
 		panel, err = squigglefilter.NewPanel(cfgs)
@@ -481,60 +468,6 @@ func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold in
 	var coarseDP, survivors int64
 	start := time.Now()
 	switch {
-	case cascade && coarseBatch > 1:
-		// Batched cascade: groups of coarseBatch reads promote through one
-		// shared coarse pass each. Reads within a group interleave
-		// round-robin in chunk steps (whole reads without -stream) — the
-		// arrival pattern a multi-channel flow cell produces — and the
-		// group's last Finalize flushes any straggler sessions.
-		mode = fmt.Sprintf("panel/cascade-batch%d", coarseBatch)
-		step := 0
-		if stream {
-			mode = fmt.Sprintf("panel/cascade-stream-batch%d", coarseBatch)
-			step = chunk
-		}
-		cb, err := cp.NewBatch(coarseBatch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for off := 0; off < len(samples); off += coarseBatch {
-			end := off + coarseBatch
-			if end > len(samples) {
-				end = len(samples)
-			}
-			group := samples[off:end]
-			sessions := make([]*squigglefilter.CascadeSession, len(group))
-			for gi := range group {
-				if sessions[gi], err = cb.NewSession(prune); err != nil {
-					log.Fatal(err)
-				}
-			}
-			offs := make([]int, len(group))
-			for {
-				progressed := false
-				for gi, s := range group {
-					if sessions[gi].Decided() || offs[gi] >= len(s) {
-						continue
-					}
-					e := len(s)
-					if step > 0 && offs[gi]+step < e {
-						e = offs[gi] + step
-					}
-					sessions[gi].Feed(s[offs[gi]:e])
-					offs[gi] = e
-					progressed = true
-				}
-				if !progressed {
-					break
-				}
-			}
-			for gi, sess := range sessions {
-				v := sess.Finalize()
-				tally(off+gi, v)
-				coarseDP += sess.CoarseDPSamples()
-				survivors += int64(len(sess.Survivors()))
-			}
-		}
 	case cascade:
 		// Cascade classification is inherently sessionful (the coarse tier
 		// buffers the prefix); without -stream the whole read feeds at once.

@@ -172,9 +172,9 @@ type Cascade struct {
 	refCells int64
 	// sch prices and bounds the coarse tier's DP like any other back-end
 	// work: each lane group a pass scores borrows one slot, costed at the
-	// calibrated rate of the kernel each query runs on, for every query
-	// the pass carries, so EDF ordering and the utilization accounting
-	// the flow-cell verdict reads stay honest.
+	// calibrated rate of the kernel each query runs on, for every dwell
+	// hypothesis of the read, so EDF ordering and the utilization
+	// accounting the flow-cell verdict reads stay honest.
 	sch     *sched.Scheduler
 	workers int
 	scorers sync.Pool
@@ -245,6 +245,13 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 		quit:     make(chan struct{}),
 	}
 	c.scorers.New = func() any { return lanes.NewScorer() }
+	c.passes.New = func() any {
+		p := &coarsePass{c: c, items: make([]coarseItem, len(cfg.queryFactors())), keep: make([]bool, len(coarseRefs))}
+		for k := range p.items {
+			p.items[k].costs = make([]int32, len(coarseRefs))
+		}
+		return p
+	}
 	return c, nil
 }
 
@@ -339,30 +346,27 @@ func (c *Cascade) CoarseServiceTime(rawPrefix int) time.Duration {
 	return total
 }
 
-// coarseItem is one (read, dwell hypothesis) query of a pass: the
-// decimated+normalized query and each target's coarse cost.
+// coarseItem is one dwell hypothesis of a pass: the decimated+normalized
+// query and each target's coarse cost.
 type coarseItem struct {
 	q     []int8
 	eq    []int16 // decimation scratch feeding q
 	costs []int32
 }
 
-// coarsePass is the pooled coarse scoring state of one promotion: a
-// group of reads (one for a plain CascadeSession, up to a batch's lanes
-// for a CascadeBatch flush), every dwell hypothesis of each. The
-// participants — the promoting caller plus any parked helpers — claim
-// lane groups of 16 references off a shared cursor; each claim acquires
-// one scheduler slot, costed for every query the pass carries, and
-// scores all of them against that group while its lane state stays in
-// L1, writing the costs back in panel order. Pooling the pass alongside
-// the scorers is what makes the whole coarse pass allocation-free per
-// read.
+// coarsePass is the pooled coarse scoring state of one promotion: one
+// read's coarse prefix under every dwell hypothesis. The participants —
+// the promoting caller plus any parked helpers — claim lane groups of 16
+// references off a shared cursor; each claim acquires one scheduler slot,
+// costed for every hypothesis, and scores each hypothesis's query against
+// that group while its lane state stays in L1, writing the costs back in
+// panel order. Pooling the pass alongside the scorers is what makes the
+// whole coarse pass allocation-free per read.
 type coarsePass struct {
 	c     *Cascade
 	ctx   context.Context
-	hyps  int
-	items []coarseItem // read r's hypotheses are items[r*hyps : (r+1)*hyps]
-	keep  [][]bool     // per read, per target: survivor union across hypotheses
+	items []coarseItem // one per dwell hypothesis, ascending decimation factor
+	keep  []bool       // per target: survivor union across hypotheses
 	sel   []int32      // quickselect scratch for the survivor cut
 	next  atomic.Int64 // next lane group to claim
 	wg    sync.WaitGroup
@@ -370,64 +374,30 @@ type coarsePass struct {
 	err   error
 }
 
-func (c *Cascade) getPass(ctx context.Context) *coarsePass {
-	p, _ := c.passes.Get().(*coarsePass)
-	if p == nil {
-		p = &coarsePass{c: c, hyps: len(c.cfg.queryFactors())}
-	}
+// getPass takes a pooled pass and loads read's coarse prefix (its first
+// CoarsePrefix samples) into it: one query per dwell hypothesis. The
+// queries reuse the pass's earlier scratch, so a warm pass allocates
+// nothing here.
+func (c *Cascade) getPass(ctx context.Context, read []int16) *coarsePass {
+	p := c.passes.Get().(*coarsePass)
 	p.ctx = ctx
-	p.items = p.items[:0]
-	p.keep = p.keep[:0]
 	p.next.Store(0)
 	p.err = nil
+	clear(p.keep)
+	if len(read) > c.cfg.CoarsePrefix {
+		read = read[:c.cfg.CoarsePrefix]
+	}
+	for k, qf := range c.cfg.queryFactors() {
+		it := &p.items[k]
+		it.eq = squiggle.DecimateInt16Into(it.eq, read, qf)
+		it.q = normalize.ApplyInt8Into(it.q, it.eq)
+	}
 	return p
 }
 
 func (c *Cascade) putPass(p *coarsePass) {
 	p.ctx = nil
 	c.passes.Put(p)
-}
-
-// addRead adds one read's coarse prefix (its first CoarsePrefix samples)
-// to the pass: one query per dwell hypothesis. Items and masks reuse the pooled pass's earlier
-// scratch, so a warm pass allocates nothing here.
-func (p *coarsePass) addRead(read []int16) {
-	c := p.c
-	n := len(c.coarse)
-	if len(read) > c.cfg.CoarsePrefix {
-		read = read[:c.cfg.CoarsePrefix]
-	}
-	r := len(p.keep)
-	if r < cap(p.keep) {
-		p.keep = p.keep[:r+1]
-	} else {
-		p.keep = append(p.keep, nil)
-	}
-	if cap(p.keep[r]) < n {
-		p.keep[r] = make([]bool, n)
-	}
-	p.keep[r] = p.keep[r][:n]
-	clear(p.keep[r])
-	for _, qf := range c.cfg.queryFactors() {
-		k := len(p.items)
-		if k < cap(p.items) {
-			p.items = p.items[:k+1]
-		} else {
-			p.items = append(p.items, coarseItem{})
-		}
-		it := &p.items[k]
-		it.eq = squiggle.DecimateInt16Into(it.eq, read, qf)
-		it.q = normalize.ApplyInt8Into(it.q, it.eq)
-		if cap(it.costs) < n {
-			it.costs = make([]int32, n)
-		}
-		it.costs = it.costs[:n]
-	}
-}
-
-// read returns read r's hypothesis items and survivor mask.
-func (p *coarsePass) read(r int) ([]coarseItem, []bool) {
-	return p.items[r*p.hyps : (r+1)*p.hyps], p.keep[r]
 }
 
 func (p *coarsePass) fail(err error) {
@@ -449,7 +419,7 @@ func (p *coarsePass) takeErr() error {
 // drain claims lane groups off the pass's cursor until none remain: the
 // body every participant runs. Each group costs one scheduler slot for
 // the whole pass, and everything between Acquire and Release is pure DP:
-// every query of the pass scored against that group's references.
+// every hypothesis's query scored against that group's references.
 func (p *coarsePass) drain() {
 	c := p.c
 	groups := c.lanes.NumGroups()
@@ -479,7 +449,7 @@ func (p *coarsePass) drain() {
 }
 
 // run scores every query of the pass against every target, fanning the
-// lane groups across the persistent helper set, then marks each read's
+// lane groups across the persistent helper set, then marks the read's
 // survivors: the union over its hypotheses of each hypothesis's top-k
 // (ties and near-ties kept) — ranks are only meaningful within a
 // hypothesis, and the one matching the read's true rate is the one that
@@ -507,16 +477,13 @@ func (p *coarsePass) run() error {
 	if err := p.takeErr(); err != nil {
 		return err
 	}
-	for r := range p.keep {
-		items, keep := p.read(r)
-		for k := range items {
-			it := &items[k]
-			cut, scratch := c.survivorCut(it.costs, len(it.q), p.sel)
-			p.sel = scratch
-			for i, cost := range it.costs {
-				if int64(cost) <= cut {
-					keep[i] = true
-				}
+	for k := range p.items {
+		it := &p.items[k]
+		cut, scratch := c.survivorCut(it.costs, len(it.q), p.sel)
+		p.sel = scratch
+		for i, cost := range it.costs {
+			if int64(cost) <= cut {
+				p.keep[i] = true
 			}
 		}
 	}
@@ -628,15 +595,6 @@ type CascadeSession struct {
 	c     *Cascade
 	ctx   context.Context
 	prune PrunePolicy
-	// batch, when non-nil, is the inter-read batch group this session
-	// promotes through: instead of promoting as a group of itself at the
-	// prefix crossing, the session pends until the group flushes
-	// (CascadeBatch.flushLocked in cascadebatch.go) and is promoted there.
-	batch *CascadeBatch
-	// pending: the session has crossed the coarse prefix and sits in its
-	// batch group's pending list awaiting a flush. Guards feedChunk from
-	// re-registering the session on every later chunk.
-	pending bool
 	// buf accumulates raw samples until promotion; nil afterwards.
 	buf []int16
 	fed int
@@ -644,10 +602,9 @@ type CascadeSession struct {
 	inner          *PanelSession
 	surv           []int     // survivor panel indices, ascending
 	coarseCost     [][]int32 // per dwell hypothesis, per target (RecordCoarseCosts)
-	scored         bool
-	coarseDP       int64 // decimated samples scored, summed over targets
-	coarseCells    int64 // coarse DP cells computed
-	coarseScorings int64 // (target, hypothesis) scorings
+	coarseDP       int64     // decimated samples scored, summed over targets
+	coarseCells    int64     // coarse DP cells computed
+	coarseScorings int64     // (target, hypothesis) scorings
 	err            error
 	done           bool
 }
@@ -693,108 +650,65 @@ func (cs *CascadeSession) feedChunk(chunk []int16) bool {
 		if len(cs.buf) < cs.c.cfg.CoarsePrefix {
 			return false
 		}
-		if cs.batch == nil {
-			cs.c.promote(cs.ctx, cs) // a failed promotion aborts cs
-			return cs.done
-		}
-		// Batched promotion: pend on the group; the flush that fills the
-		// batch (possibly this very call) promotes every pending session
-		// and replays its buffer. Later chunks keep accumulating in buf
-		// while the session pends — the flush replays them all.
-		if cs.pending {
-			return false
-		}
-		return cs.batch.crossed(cs)
+		cs.c.promote(cs) // a failed promotion aborts cs
+		return cs.done
 	}
 	cs.done = cs.inner.feed(chunk)
 	return cs.done
 }
 
 // abort stops the session without a decision: the read's context was
-// cancelled mid-coarse-pass. The verdict stays all-Continue (exactly an
-// abandoned read) and Err reports the cause.
+// cancelled mid-coarse-pass, or the exact tier could not open. The
+// verdict stays all-Continue (exactly an abandoned read) and Err reports
+// the cause.
 func (cs *CascadeSession) abort(err error) {
-	cs.pending = false
 	cs.err = err
 	cs.buf = nil
 	cs.done = true
 }
 
-// promote commits a group of sessions to their survivors — a plain
-// session is a group of itself, a CascadeBatch flush is its pending
-// sessions — then opens each one's exact tier over those survivors and
-// replays its buffered signal into it. Every scoreable session's coarse
-// prefix goes through one shared pass. With TopK covering the whole
-// panel the coarse tier is skipped outright (every target survives, zero
-// coarse DP); with an empty buffer — a read finalized before any signal —
-// there is no evidence to prune on, so every target survives and decides
-// on nothing, exactly as the plain panel would. The only error is ctx
-// cancelling mid-pass, which aborts every session in the group: they
-// share one pass, so they share its fate.
-func (c *Cascade) promote(ctx context.Context, group ...*CascadeSession) error {
-	if err := c.scoreGroup(ctx, group); err != nil {
-		for _, cs := range group {
-			cs.abort(err)
+// promote commits the session to its survivors, then opens its exact
+// tier over them and replays the buffered signal into it. With TopK
+// covering the whole panel the coarse tier is skipped outright (every
+// target survives, zero coarse DP); with an empty buffer — a read
+// finalized before any signal — there is no evidence to prune on, so
+// every target survives and decides on nothing, exactly as the plain
+// panel would. A failure — ctx cancelling mid-pass, or an exact tier that
+// cannot open — aborts the session and is returned.
+func (c *Cascade) promote(cs *CascadeSession) error {
+	var err error
+	if c.cfg.TopK < len(c.panel.targets) && len(cs.buf) > 0 {
+		p := c.getPass(cs.ctx, cs.buf)
+		if err = p.run(); err == nil {
+			cs.commit(p)
 		}
+		c.putPass(p)
+	} else {
+		cs.allSurvive()
+	}
+	if err == nil {
+		err = cs.openInner()
+	}
+	if err != nil {
+		cs.abort(err)
 		return err
 	}
-	for _, cs := range group {
-		cs.pending = false
-		if !cs.scored {
-			cs.allSurvive()
-		}
-		cs.openInner()
-		buf := cs.buf
-		cs.buf = nil
-		if len(buf) > 0 {
-			cs.done = cs.inner.feed(buf)
-		}
+	buf := cs.buf
+	cs.buf = nil
+	if len(buf) > 0 {
+		cs.done = cs.inner.feed(buf)
 	}
 	return nil
 }
 
-// scoreGroup runs the coarse pass over every scoreable session of group
-// and commits each one's survivor set and accounting. The pooled pass
-// returns on every path, error included.
-func (c *Cascade) scoreGroup(ctx context.Context, group []*CascadeSession) error {
-	p := c.getPass(ctx)
-	defer c.putPass(p)
-	for _, cs := range group {
-		if cs.scoreable() {
-			p.addRead(cs.buf)
-		}
-	}
-	if len(p.keep) == 0 {
-		return nil
-	}
-	if err := p.run(); err != nil {
-		return err
-	}
-	r := 0
-	for _, cs := range group {
-		if cs.scoreable() {
-			cs.commit(p, r)
-			r++
-		}
-	}
-	return nil
-}
-
-// scoreable reports whether the coarse tier has anything to decide for
-// the session: TopK short of the panel and some buffered evidence.
-func (cs *CascadeSession) scoreable() bool {
-	return cs.c.cfg.TopK < len(cs.c.panel.targets) && len(cs.buf) > 0
-}
-
-// commit copies read r's pass results onto the session: survivor set,
+// commit copies the pass's results onto the session: survivor set,
 // accounting, and (when recording) per-hypothesis cost rows. Every query
 // sample is scored against every reference, so the accounting follows
 // from the query lengths alone.
-func (cs *CascadeSession) commit(p *coarsePass, r int) {
+func (cs *CascadeSession) commit(p *coarsePass) {
 	n := int64(len(cs.c.coarse))
-	items, keep := p.read(r)
-	for k := range items {
-		it := &items[k]
+	for k := range p.items {
+		it := &p.items[k]
 		if cs.c.cfg.RecordCoarseCosts {
 			cs.coarseCost = append(cs.coarseCost, append([]int32(nil), it.costs...))
 		}
@@ -803,9 +717,8 @@ func (cs *CascadeSession) commit(p *coarsePass, r int) {
 		cs.coarseCells += qlen * cs.c.refCells
 		cs.coarseScorings += n
 	}
-	cs.scored = true
 	cs.surv = cs.surv[:0]
-	for i, k := range keep {
+	for i, k := range p.keep {
 		if k {
 			cs.surv = append(cs.surv, i)
 		}
@@ -822,42 +735,35 @@ func (cs *CascadeSession) allSurvive() {
 	}
 }
 
-// openInner opens the exact tier over the committed survivor set.
-func (cs *CascadeSession) openInner() {
-	c := cs.c
+// openInner opens the exact tier over the committed survivor set. The
+// survivors are non-empty (TopK >= 1) and the prune policy was validated
+// at NewSession, so it fails only when a survivor's pipeline cannot host
+// sessions — which NewCascade's probe rules out for every panel it
+// accepts.
+func (cs *CascadeSession) openInner() error {
 	sub := make([]Target, len(cs.surv))
 	for j, i := range cs.surv {
-		sub[j] = c.panel.targets[i]
+		sub[j] = cs.c.panel.targets[i]
 	}
 	subPanel, err := NewPanel(sub)
 	if err == nil {
 		cs.inner, err = subPanel.NewSessionContext(cs.ctx, cs.prune)
 	}
 	if err != nil {
-		// Unreachable: survivors are non-empty (TopK >= 1), the prune
-		// policy was validated at NewSession, and sessionability was
-		// probed at NewCascade.
-		panic(err)
+		return fmt.Errorf("engine: cascade exact tier: %w", err)
 	}
+	return nil
 }
 
 // Finalize signals that the read ended. A read shorter than the coarse
-// prefix promotes on whatever buffered — a batched one flushes its whole
-// pending group, every member of which has its full coarse evidence
-// buffered, so each commits exactly the survivors its own flush would
-// have — then the survivor panel finalizes on the full buffered signal.
+// prefix promotes on whatever buffered, then the survivor panel
+// finalizes on the full buffered signal.
 func (cs *CascadeSession) Finalize() PanelResult {
 	if cs.done {
 		return cs.snapshot()
 	}
 	if cs.inner == nil {
-		var err error
-		if cs.batch != nil {
-			err = cs.batch.flushWith(cs)
-		} else {
-			err = cs.c.promote(cs.ctx, cs)
-		}
-		if err != nil {
+		if err := cs.c.promote(cs); err != nil {
 			return cs.snapshot() // the promotion aborted cs
 		}
 	}
@@ -890,8 +796,8 @@ func (cs *CascadeSession) Decided() bool { return cs.done }
 
 // Err reports why the session stopped without deciding: non-nil exactly
 // when the session's context was cancelled while a tier waited for
-// scheduler slots. The verdict is then the all-Continue abandoned-read
-// one.
+// scheduler slots, or the exact tier could not open over the survivors.
+// The verdict is then the all-Continue abandoned-read one.
 func (cs *CascadeSession) Err() error { return cs.err }
 
 // SamplesFed returns the raw samples delivered so far.
@@ -901,7 +807,7 @@ func (cs *CascadeSession) SamplesFed() int { return cs.fed }
 func (cs *CascadeSession) Promoted() bool { return cs.inner != nil }
 
 // Survivors returns the panel indices the coarse tier kept, in ascending
-// panel order; nil before promotion. The slice is a copy.
+// panel order; nil before the coarse tier commits. The slice is a copy.
 func (cs *CascadeSession) Survivors() []int {
 	if cs.surv == nil {
 		return nil
@@ -918,7 +824,7 @@ func (cs *CascadeSession) Survivors() []int {
 // default, keeping the coarse pass allocation-free). Costs compare only
 // within a row. The slices are copies.
 func (cs *CascadeSession) CoarseCosts() [][]int32 {
-	if !cs.scored || cs.coarseCost == nil {
+	if cs.coarseCost == nil {
 		return nil
 	}
 	out := make([][]int32, len(cs.coarseCost))

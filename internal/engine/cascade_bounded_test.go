@@ -275,9 +275,8 @@ func TestCascadeCloseReleasesWorkers(t *testing.T) {
 // session's promotion scores, reusable by the allocation test and the
 // benchmarks. It returns the DP cells the pass computed.
 func runCoarsePass(tb testing.TB, c *Cascade, read []int16) (cells int64) {
-	p := c.getPass(context.Background())
+	p := c.getPass(context.Background(), read)
 	defer c.putPass(p)
-	p.addRead(read)
 	if err := p.run(); err != nil {
 		tb.Fatal(err)
 	}

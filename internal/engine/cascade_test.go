@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"squigglefilter/internal/sdtw"
@@ -261,5 +263,154 @@ func TestCascadeConfigValidation(t *testing.T) {
 	want := CascadeConfig{Decimation: DefaultDecimation, TopK: DefaultTopK, CoarsePrefix: DefaultCoarsePrefix, QueryDwell: DefaultQueryDwell}
 	if got != want {
 		t.Errorf("resolved config %+v, want %+v", got, want)
+	}
+}
+
+// TestCascadeCloseConcurrent: Close is safe concurrent with in-flight
+// passes and with itself — the helper lifecycle holds lifeMu across
+// spawn/close decisions, so the WaitGroup Add in spawnHelpers can never
+// race a Wait in Close (the bug this pins: a Close landing between a
+// pass's spawn decision and its Add used to return before the helpers
+// existed). Run under -race in CI.
+func TestCascadeCloseConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(173))
+	for trial := 0; trial < 8; trial++ {
+		c, _ := buildBoundedCascade(t, rng, 8, 2, 0, 600)
+		read := randomRead(rng, 900)
+		start := make(chan struct{})
+		classified := make(chan struct{})
+		go func() {
+			<-start
+			c.Classify(read) // races the Closes below
+			close(classified)
+		}()
+		var closed [2]chan struct{}
+		for i := range closed {
+			closed[i] = make(chan struct{})
+			go func(ch chan struct{}) {
+				<-start
+				c.Close() // idempotent and safe concurrent with Classify
+				close(ch)
+			}(closed[i])
+		}
+		close(start)
+		<-classified
+		<-closed[0]
+		<-closed[1]
+		c.Close() // and once more after everything settled
+	}
+}
+
+// TestCascadeSessionOneAcquirePerLaneGroup: a session's coarse pass
+// borrows one scheduler slot per lane group of 16 references — every reference of the group and every dwell
+// hypothesis scored inside it — not one per reference or per
+// (reference, hypothesis). The panel spans a full group and a partial
+// one. The exact tier schedules on its own panel's pools, so the coarse
+// scheduler's completions count exactly the pass. The session's cell
+// count stays the real work, padding excluded: each hypothesis's query
+// length times the summed reference lengths.
+func TestCascadeSessionOneAcquirePerLaneGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(193))
+	const n = 21
+	groups := (n + 15) / 16
+	c, _ := buildBoundedCascade(t, rng, n, 3, 0, 1200)
+	defer c.Close()
+	if h := len(c.cfg.queryFactors()); h < 2 {
+		t.Fatalf("%d dwell hypotheses; the test needs several", h)
+	}
+	var refCells int64
+	for _, ref := range c.coarse {
+		refCells += int64(len(ref))
+	}
+	for trial := 0; trial < 3; trial++ {
+		before := c.sch.Stats().Completed
+		cs, err := c.NewSession(PrunePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := randomRead(rng, 1500)
+		cs.Stream(read, 400)
+		if cs.CoarseScorings() == 0 {
+			t.Fatalf("trial %d: the coarse tier never scored", trial)
+		}
+		if got := c.sch.Stats().Completed - before; got != int64(groups) {
+			t.Errorf("trial %d: coarse pass completed %d scheduler tasks over %d references, want %d (one per lane group)",
+				trial, got, n, groups)
+		}
+		var wantCells int64
+		for _, qf := range c.cfg.queryFactors() {
+			wantCells += int64((c.cfg.CoarsePrefix+qf-1)/qf) * refCells
+		}
+		if got := cs.CoarseDPCells(); got != wantCells {
+			t.Errorf("trial %d: CoarseDPCells = %d, want len(q)·Σ refLen summed over hypotheses = %d", trial, got, wantCells)
+		}
+	}
+}
+
+// TestCascadePassPoolReuseOnCancel pins the pooled-pass error path: a
+// pass unwound by cancellation must still return to the pool (the
+// defer-based putPass), so a burst of cancelled reads does not allocate
+// a fresh pass each time. Allocation-counted, so skipped under race.
+func TestCascadePassPoolReuseOnCancel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on channel and pool operations")
+	}
+	rng := rand.New(rand.NewSource(179))
+	c, _ := buildBoundedCascade(t, rng, 16, 4, 0, 1200)
+	defer c.Close()
+	read := randomRead(rng, 1200)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel() // every Acquire under this context fails immediately
+
+	failedPass := func() {
+		p := c.getPass(cancelled, read)
+		defer c.putPass(p)
+		if err := p.run(); err == nil {
+			t.Fatal("coarse pass under a cancelled context did not fail")
+		}
+	}
+	for i := 0; i < 5; i++ {
+		failedPass() // warm the pool through the failure path itself
+	}
+	allocs := testing.AllocsPerRun(50, failedPass)
+	if allocs > 0.5 {
+		t.Errorf("cancelled coarse pass allocates %.2f objects per read, want ~0 (pass not returning to pool?)", allocs)
+	}
+}
+
+// TestCascadeExactTierOpenFailure: when the exact tier cannot open over
+// the survivors, promotion aborts the session with the error instead of
+// panicking. NewCascade's probe refuses pipelines this package did not
+// build, so the test swaps one in after construction. Every promotion
+// path is covered: the prefix crossing, a short read's Finalize, and an
+// empty read. Each leaves the session decided but unpromoted, with the
+// all-Continue verdict and the cause in Err.
+func TestCascadeExactTierOpenFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(197))
+	c, _ := buildBoundedCascade(t, rng, 8, 2, 0, 600)
+	defer c.Close()
+	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
+	foreign, err := NewPipeline(func() (Backend, error) { return foreignBackend{refLen: 400}, nil }, 1, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.panel.targets {
+		c.panel.targets[i].Pipeline = foreign
+	}
+	for _, n := range []int{900, 300, 0} { // crosses the prefix, ends short of it, empty
+		cs, err := c.NewSession(PrunePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := cs.Stream(randomRead(rng, n), 200)
+		if cs.Err() == nil || !strings.Contains(cs.Err().Error(), "incremental sessions") {
+			t.Errorf("read of %d samples: Err = %v, want the exact tier's open error", n, cs.Err())
+		}
+		if cs.Promoted() || !cs.Decided() {
+			t.Errorf("read of %d samples: promoted=%v decided=%v, want an aborted session", n, cs.Promoted(), cs.Decided())
+		}
+		if !res.Undecided || res.Best != -1 {
+			t.Errorf("read of %d samples: verdict %+v, want the all-Continue abandoned read", n, res)
+		}
 	}
 }

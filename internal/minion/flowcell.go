@@ -59,15 +59,6 @@ type FlowCellConfig struct {
 	// classifier (its survivor selection is exercised by the engine's own
 	// tests; here the question is whether the machine keeps up).
 	Coarse *engine.Cascade
-	// CoarseLanes batches coarse passes across reads: crossings pend
-	// until CoarseLanes of them accumulate (or the oldest has waited a
-	// full chunk period — a straggler flush, so a lull on other channels
-	// cannot starve a pending read), then one composite task carries the
-	// whole group's cost. Clamped to [1, engine.MaxBatchLanes]; zero means
-	// sequential (1). The composite cost is the sum of the members'
-	// per-read costs: batching amortizes dispatch, not DP cells (every
-	// query in a batched pass still scores every reference).
-	CoarseLanes int
 }
 
 // FlowCellResult reports a virtual-time run.
@@ -93,10 +84,10 @@ type FlowCellResult struct {
 	ReadsFull, ReadsEjected int
 	DurationSec             float64
 	ChunkPeriodSec          float64
-	// CoarsePasses counts completed coarse-tier tasks (each covering
-	// CoarseReads/CoarsePasses reads on average); CoarseLanes echoes the
-	// effective batch width. Zero when no cascade was configured.
-	CoarsePasses, CoarseReads, CoarseLanes int
+	// CoarseReads counts reads that owed a coarse pass (one task each);
+	// CoarsePasses counts those tasks completed. Zero when no cascade was
+	// configured.
+	CoarsePasses, CoarseReads int
 }
 
 // LateFraction is LateDecisions / Decisions (0 when no decisions).
@@ -159,12 +150,10 @@ type fcTag struct {
 	step stageStep
 }
 
-// fcCoarseTag marks a batched coarse-tier task: one pass covering the
-// panel for `reads` pending reads. Coarse completions feed the same
-// decision/lateness accounting as stage tasks but touch no pore state.
-type fcCoarseTag struct {
-	reads int
-}
+// fcCoarseTag marks a coarse-tier task: one read's pass over the panel.
+// Coarse completions feed the same decision/lateness accounting as stage
+// tasks but touch no pore state.
+type fcCoarseTag struct{}
 
 // flow-cell event kinds
 const (
@@ -240,13 +229,6 @@ func RunFlowCell(pipe *engine.Pipeline, cfg FlowCellConfig, src ReadSource) (Flo
 	duration := time.Duration(cfg.DurationSec * float64(time.Second))
 	spb := cfg.SamplesPerBase
 
-	coarseLanes := cfg.CoarseLanes
-	if coarseLanes < 1 {
-		coarseLanes = 1
-	}
-	if coarseLanes > engine.MaxBatchLanes {
-		coarseLanes = engine.MaxBatchLanes
-	}
 	var coarsePrefix int
 	if cfg.Coarse != nil {
 		coarsePrefix = cfg.Coarse.Config().CoarsePrefix
@@ -288,42 +270,22 @@ func RunFlowCell(pipe *engine.Pipeline, cfg FlowCellConfig, src ReadSource) (Flo
 		up(*h, len(*h)-1)
 	}
 
-	// Pending coarse-tier crossings, flushed into one composite task when
-	// coarseLanes accumulate or the oldest has pended a full chunk period.
-	type coarseEntry struct {
-		release time.Duration
-		cost    time.Duration
-	}
-	var coarsePend []coarseEntry
-	flushCoarse := func(now time.Duration) {
-		if len(coarsePend) == 0 {
-			return
-		}
-		var cost time.Duration
-		for _, e := range coarsePend {
-			cost += e.cost
-		}
-		vs.Submit(sched.VTask{
-			Release:  now,
-			Deadline: now + chunkPeriod,
-			Cost:     cost,
-			Tag:      fcCoarseTag{reads: len(coarsePend)},
-		})
-		res.CoarseReads += len(coarsePend)
-		coarsePend = coarsePend[:0]
-	}
 	// crossCoarse records that a read's sequenced prefix crossed the
 	// cascade's coarse boundary (or the read ended short of it): it owes
-	// one coarse pass over the panel, priced on the evidence it buffered.
+	// one coarse pass over the panel, priced on the evidence it buffered
+	// and due within a chunk period like any stage decision.
 	crossCoarse := func(readSamples int, now time.Duration) {
 		p := readSamples
 		if p > coarsePrefix {
 			p = coarsePrefix
 		}
-		coarsePend = append(coarsePend, coarseEntry{release: now, cost: cfg.Coarse.CoarseServiceTime(p)})
-		if len(coarsePend) >= coarseLanes {
-			flushCoarse(now)
-		}
+		vs.Submit(sched.VTask{
+			Release:  now,
+			Deadline: now + chunkPeriod,
+			Cost:     cfg.Coarse.CoarseServiceTime(p),
+			Tag:      fcCoarseTag{},
+		})
+		res.CoarseReads++
 	}
 
 	// scheduleDelivery queues the channel's next chunk, or the exact read
@@ -403,12 +365,6 @@ func RunFlowCell(pipe *engine.Pipeline, cfg FlowCellConfig, src ReadSource) (Flo
 		if ev.time > duration {
 			break
 		}
-		// Straggler flush: a pending coarse crossing never waits more than
-		// one chunk period for lanemates, so a lull on the other channels
-		// cannot starve a read's survivor decision.
-		if len(coarsePend) > 0 && ev.time-coarsePend[0].release >= chunkPeriod {
-			flushCoarse(ev.time)
-		}
 		for _, comp := range vs.AdvanceTo(ev.time) {
 			handleCompletion(comp)
 		}
@@ -443,8 +399,8 @@ func RunFlowCell(pipe *engine.Pipeline, cfg FlowCellConfig, src ReadSource) (Flo
 			// its decision cannot eject a finished read.
 			if cfg.Coarse != nil && c.chunks*chunkSamples < coarsePrefix {
 				// The coarse boundary fell inside the trailing partial
-				// chunk, or the read ended short of it (the cascade's
-				// finalize-flush): either way the pass is owed now.
+				// chunk, or the read ended short of it (the cascade
+				// promotes at Finalize): either way the pass is owed now.
 				crossCoarse(c.readSamples, ev.time)
 			}
 			submitSteps(ev.ch, c.readSamples, ev.time)
@@ -457,16 +413,10 @@ func RunFlowCell(pipe *engine.Pipeline, cfg FlowCellConfig, src ReadSource) (Flo
 			capture(ev.ch, ev.time)
 		}
 	}
-	// Crossings still pending at the end owe their pass regardless: flush
-	// so the work lands in the backlog accounting instead of vanishing.
-	flushCoarse(duration)
 	for _, comp := range vs.AdvanceTo(duration) {
 		handleCompletion(comp)
 	}
 	res.Backlog = vs.Pending()
-	if cfg.Coarse != nil {
-		res.CoarseLanes = coarseLanes
-	}
 	res.Latency = metrics.Summarize(lats)
 	res.Wait = metrics.Summarize(wats)
 	res.Utilization = vs.Busy().Seconds() / (cfg.DurationSec * float64(servers))

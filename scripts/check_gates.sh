@@ -28,13 +28,11 @@ cd "$(dirname "$0")/.."
 #   TopK >= the panel size is bit-identical to a plain panel.
 # - Coarse pass: the pooled multi-participant pass commits the survivors
 #   that scoring each target on its own would (a Margin that overflows
-#   the cut included), and cancelled or closed cascades unwind without
-#   leaking coarse workers.
-# - Batched coarse tier: a CascadeBatch commits exactly the ungrouped
-#   survivor sets and verdicts, a cancelled flush aborts the whole group,
-#   Close is safe racing in-flight passes, every pass takes one scheduler
-#   slot per lane group of 16 references, and the flow cell prices the
-#   batched tier.
+#   the cut included), cancelled or closed cascades unwind without
+#   leaking coarse workers, Close is safe racing in-flight passes, every
+#   pass takes one scheduler slot per lane group of 16 references, an
+#   exact tier that cannot open aborts the session with an error instead
+#   of a panic, and the flow cell prices one coarse pass per read.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity TestAVX2StripsVEXOnly
@@ -45,8 +43,8 @@ gates='
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
 . TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity
 ./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers
-./internal/engine TestBatchedCoarseSurvivorIdentity TestBatchedCoarseCancelMidSweep TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup
-./internal/minion TestFlowCellCoarseTier TestFlowCellCoarseStragglerFlush
+./internal/engine TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup TestCascadeExactTierOpenFailure
+./internal/minion TestFlowCellCoarseTier
 '
 
 missing=0
