@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"squigglefilter/internal/engine/sched"
@@ -157,8 +156,8 @@ func (c CascadeConfig) validate() error {
 
 // Cascade pairs an exact Panel with the decimated coarse references that
 // gate it. It is safe for concurrent use: coarse scoring state lives in
-// pools (one scorer per participant, one pass per in-flight promotion)
-// and per-read state in CascadeSession.
+// pools (one scorer per lane group being scored, one pass per in-flight
+// promotion) and per-read state in CascadeSession.
 type Cascade struct {
 	panel  *Panel
 	cfg    CascadeConfig
@@ -176,24 +175,13 @@ type Cascade struct {
 	// hypothesis of the read, so EDF ordering and the utilization
 	// accounting the flow-cell verdict reads stay honest.
 	sch     *sched.Scheduler
-	workers int
 	scorers sync.Pool
 	passes  sync.Pool
-	// The persistent coarse worker set: helpers park on work and drain
-	// whatever pass is handed to them, so scoring spawns no goroutines.
-	// quit (closed by Close) releases them; sends are non-blocking, so a
-	// busy or released helper set just means the pass's caller drains
-	// more lane groups itself.
-	work chan *coarsePass
-	quit chan struct{}
-	// lifeMu serializes helper spawning against Close: the WaitGroup Adds
-	// in spawnHelpers must never race Close's Wait, and a spawn attempt
-	// landing after Close must be a no-op instead of leaking goroutines
-	// into a closed cascade.
-	lifeMu  sync.Mutex
-	spawned bool
-	closed  bool
-	helpers sync.WaitGroup
+	// helperSet is the persistent worker set both tiers share: parked
+	// helpers join a promotion's coarse pass (claiming lane groups) and
+	// its survivors' exact-tier feeds (claiming survivors), so neither
+	// tier spawns goroutines per read. Close releases it.
+	helperSet
 }
 
 // NewCascade builds a cascade in front of panel. coarseRefs holds the
@@ -240,13 +228,12 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 		lanes:    lanes,
 		refCells: refCells,
 		sch:      sched.New(workers),
-		workers:  workers,
-		work:     make(chan *coarsePass),
-		quit:     make(chan struct{}),
 	}
+	c.helperSet.init(workers)
 	c.scorers.New = func() any { return lanes.NewScorer() }
 	c.passes.New = func() any {
 		p := &coarsePass{c: c, items: make([]coarseItem, len(cfg.queryFactors())), keep: make([]bool, len(coarseRefs))}
+		p.job.body = p
 		for k := range p.items {
 			p.items[k].costs = make([]int32, len(coarseRefs))
 		}
@@ -261,53 +248,13 @@ func (c *Cascade) Config() CascadeConfig { return c.cfg }
 // Panel returns the exact tier.
 func (c *Cascade) Panel() *Panel { return c.panel }
 
-// Close releases the persistent coarse workers. Call it when the cascade
-// is done serving reads; outstanding sessions should finish first (a
-// pass in flight when Close lands still completes — its caller always
-// drains — but may run with less parallelism). Close is idempotent and
-// safe concurrently with in-flight passes and with other Close calls:
-// lifeMu orders it against spawnHelpers, so either the helpers were
-// fully spawned before the Wait below (and the closed quit channel
-// releases them) or the spawn attempt observes closed and starts
-// nothing. Every Close returns only once the helper set has exited.
-func (c *Cascade) Close() {
-	c.lifeMu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.quit)
-	}
-	c.lifeMu.Unlock()
-	c.helpers.Wait()
-}
-
-// spawnHelpers starts the persistent worker set on first use: workers-1
-// helper goroutines that live until Close, each parking on the work
-// channel between jobs. The job's caller is the final worker. After
-// Close this is a no-op — the WaitGroup Adds happen under lifeMu, so
-// they can never race Close's Wait on a possibly-zero counter.
-func (c *Cascade) spawnHelpers() {
-	c.lifeMu.Lock()
-	defer c.lifeMu.Unlock()
-	if c.spawned || c.closed {
-		return
-	}
-	c.spawned = true
-	for i := 0; i < c.workers-1; i++ {
-		c.helpers.Add(1)
-		go func() {
-			defer c.helpers.Done()
-			for {
-				select {
-				case <-c.quit:
-					return
-				case p := <-c.work:
-					p.drain()
-					p.wg.Done()
-				}
-			}
-		}()
-	}
-}
+// Close releases the persistent helper set. Call it when the cascade is
+// done serving reads; outstanding sessions should finish first (a coarse
+// pass or exact-tier feed in flight when Close lands still completes —
+// its caller always drains — but may run with less parallelism). Close is
+// idempotent, safe concurrently with in-flight reads and with other Close
+// calls, and returns only once the helper set has exited.
+func (c *Cascade) Close() { c.helperSet.close() }
 
 // coarseServiceTime models scoring one query of qlen samples against
 // lane group g: the group's real cells (padding excluded) at the
@@ -357,20 +304,20 @@ type coarseItem struct {
 // coarsePass is the pooled coarse scoring state of one promotion: one
 // read's coarse prefix under every dwell hypothesis. The participants —
 // the promoting caller plus any parked helpers — claim lane groups of 16
-// references off a shared cursor; each claim acquires one scheduler slot,
-// costed for every hypothesis, and scores each hypothesis's query against
-// that group while its lane state stays in L1, writing the costs back in
-// panel order. Pooling the pass alongside the scorers is what makes the
-// whole coarse pass allocation-free per read.
+// references through the pass's claim job; each claim acquires one
+// scheduler slot, costed for every hypothesis, and scores each
+// hypothesis's query against that group while its lane state stays in
+// L1, writing the costs back in panel order. Pooling the pass alongside
+// the scorers is what makes the whole coarse pass allocation-free per
+// read.
 type coarsePass struct {
 	c     *Cascade
 	ctx   context.Context
 	items []coarseItem // one per dwell hypothesis, ascending decimation factor
 	keep  []bool       // per target: survivor union across hypotheses
 	sel   []int32      // quickselect scratch for the survivor cut
-	next  atomic.Int64 // next lane group to claim
-	wg    sync.WaitGroup
-	mu    sync.Mutex // guards err
+	job   claimJob     // claims lane groups; its body is the pass itself
+	mu    sync.Mutex   // guards err
 	err   error
 }
 
@@ -381,7 +328,7 @@ type coarsePass struct {
 func (c *Cascade) getPass(ctx context.Context, read []int16) *coarsePass {
 	p := c.passes.Get().(*coarsePass)
 	p.ctx = ctx
-	p.next.Store(0)
+	p.job.reset(c.lanes.NumGroups())
 	p.err = nil
 	clear(p.keep)
 	if len(read) > c.cfg.CoarsePrefix {
@@ -406,8 +353,7 @@ func (p *coarsePass) fail(err error) {
 		p.err = err
 	}
 	p.mu.Unlock()
-	// Park the work counter past the end so every participant drains out.
-	p.next.Store(int64(p.c.lanes.NumGroups()))
+	p.job.stop() // every participant drains out
 }
 
 func (p *coarsePass) takeErr() error {
@@ -416,40 +362,31 @@ func (p *coarsePass) takeErr() error {
 	return p.err
 }
 
-// drain claims lane groups off the pass's cursor until none remain: the
-// body every participant runs. Each group costs one scheduler slot for
-// the whole pass, and everything between Acquire and Release is pure DP:
-// every hypothesis's query scored against that group's references.
-func (p *coarsePass) drain() {
+// claim scores lane group g: one scheduler slot for the whole group, and
+// everything between Acquire and Release is pure DP — every hypothesis's
+// query scored against that group's references.
+func (p *coarsePass) claim(g int) {
 	c := p.c
-	groups := c.lanes.NumGroups()
-	s := c.scorers.Get().(*sdtw.CoarseScorer)
-	for {
-		j := p.next.Add(1) - 1
-		if j >= int64(groups) {
-			break
-		}
-		g := int(j)
-		var cost time.Duration
-		for k := range p.items {
-			cost += c.coarseServiceTime(g, len(p.items[k].q))
-		}
-		idx, err := c.sch.Acquire(p.ctx, sched.Task{Cost: cost})
-		if err != nil {
-			p.fail(err)
-			break
-		}
-		for k := range p.items {
-			it := &p.items[k]
-			s.ScoreGroup(it.q, g, it.costs)
-		}
-		c.sch.Release(idx)
+	var cost time.Duration
+	for k := range p.items {
+		cost += c.coarseServiceTime(g, len(p.items[k].q))
 	}
-	c.scorers.Put(s)
+	s := c.scorers.Get().(*sdtw.CoarseScorer)
+	defer c.scorers.Put(s)
+	idx, err := c.sch.Acquire(p.ctx, sched.Task{Cost: cost})
+	if err != nil {
+		p.fail(err)
+		return
+	}
+	for k := range p.items {
+		it := &p.items[k]
+		s.ScoreGroup(it.q, g, it.costs)
+	}
+	c.sch.Release(idx)
 }
 
-// run scores every query of the pass against every target, fanning the
-// lane groups across the persistent helper set, then marks the read's
+// run scores every query of the pass against every target, sharing the
+// lane groups with the cascade's helper set, then marks the read's
 // survivors: the union over its hypotheses of each hypothesis's top-k
 // (ties and near-ties kept) — ranks are only meaningful within a
 // hypothesis, and the one matching the read's true rate is the one that
@@ -458,22 +395,7 @@ func (p *coarsePass) drain() {
 // cancellation in Acquire).
 func (p *coarsePass) run() error {
 	c := p.c
-	if extra := c.extraParticipants(c.lanes.NumGroups()); extra > 0 {
-		c.spawnHelpers()
-		for i := 0; i < extra; i++ {
-			// Non-blocking: a helper set busy with other passes — or
-			// already released by Close — simply doesn't join, and the
-			// caller drains the difference itself.
-			p.wg.Add(1)
-			select {
-			case c.work <- p:
-			default:
-				p.wg.Add(-1)
-			}
-		}
-	}
-	p.drain()
-	p.wg.Wait()
+	c.helperSet.run(&p.job)
 	if err := p.takeErr(); err != nil {
 		return err
 	}
@@ -488,20 +410,6 @@ func (p *coarsePass) run() error {
 		}
 	}
 	return nil
-}
-
-// extraParticipants is how many helpers a pass over n lane groups is
-// worth recruiting: the caller is always one participant, and more
-// participants than groups would just contend.
-func (c *Cascade) extraParticipants(n int) int {
-	if c.workers <= 1 || n <= 1 {
-		return 0
-	}
-	extra := c.workers - 1
-	if extra > n-1 {
-		extra = n - 1
-	}
-	return extra
 }
 
 // kthSmallestInt32 returns the k-th smallest value (1-based, k in
@@ -653,18 +561,31 @@ func (cs *CascadeSession) feedChunk(chunk []int16) bool {
 		cs.c.promote(cs) // a failed promotion aborts cs
 		return cs.done
 	}
-	cs.done = cs.inner.feed(chunk)
+	cs.feedInner(chunk)
 	return cs.done
 }
 
+// feedInner delivers chunk to the exact tier. A survivor whose context
+// was cancelled while it waited for its pipeline aborts the session,
+// exactly as a cancelled coarse pass does.
+func (cs *CascadeSession) feedInner(chunk []int16) {
+	cs.done = cs.inner.feed(chunk)
+	if err := cs.inner.err(); err != nil {
+		cs.abort(err)
+	}
+}
+
 // abort stops the session without a decision: the read's context was
-// cancelled mid-coarse-pass, or the exact tier could not open. The
-// verdict stays all-Continue (exactly an abandoned read) and Err reports
-// the cause.
+// cancelled in either tier, or the exact tier could not open. Live
+// survivors are abandoned, the verdict reverts to all-Continue (exactly
+// an abandoned read) and Err reports the cause.
 func (cs *CascadeSession) abort(err error) {
 	cs.err = err
 	cs.buf = nil
 	cs.done = true
+	if cs.inner != nil {
+		cs.inner.abandon()
+	}
 }
 
 // promote commits the session to its survivors, then opens its exact
@@ -673,8 +594,8 @@ func (cs *CascadeSession) abort(err error) {
 // target survives, zero coarse DP); with an empty buffer — a read
 // finalized before any signal — there is no evidence to prune on, so
 // every target survives and decides on nothing, exactly as the plain
-// panel would. A failure — ctx cancelling mid-pass, or an exact tier that
-// cannot open — aborts the session and is returned.
+// panel would. A failure — ctx cancelling in either tier, or an exact
+// tier that cannot open — aborts the session and is returned.
 func (c *Cascade) promote(cs *CascadeSession) error {
 	var err error
 	if c.cfg.TopK < len(c.panel.targets) && len(cs.buf) > 0 {
@@ -696,9 +617,9 @@ func (c *Cascade) promote(cs *CascadeSession) error {
 	buf := cs.buf
 	cs.buf = nil
 	if len(buf) > 0 {
-		cs.done = cs.inner.feed(buf)
+		cs.feedInner(buf)
 	}
-	return nil
+	return cs.err
 }
 
 // commit copies the pass's results onto the session: survivor set,
@@ -735,11 +656,12 @@ func (cs *CascadeSession) allSurvive() {
 	}
 }
 
-// openInner opens the exact tier over the committed survivor set. The
-// survivors are non-empty (TopK >= 1) and the prune policy was validated
-// at NewSession, so it fails only when a survivor's pipeline cannot host
-// sessions — which NewCascade's probe rules out for every panel it
-// accepts.
+// openInner opens the exact tier over the committed survivor set, sharing
+// the cascade's helper set so one delivery's survivors can run on several
+// goroutines. The survivors are non-empty (TopK >= 1) and the prune
+// policy was validated at NewSession, so it fails only when a survivor's
+// pipeline cannot host sessions — which NewCascade's probe rules out for
+// every panel it accepts.
 func (cs *CascadeSession) openInner() error {
 	sub := make([]Target, len(cs.surv))
 	for j, i := range cs.surv {
@@ -747,7 +669,7 @@ func (cs *CascadeSession) openInner() error {
 	}
 	subPanel, err := NewPanel(sub)
 	if err == nil {
-		cs.inner, err = subPanel.NewSessionContext(cs.ctx, cs.prune)
+		cs.inner, err = subPanel.newSession(cs.ctx, cs.prune, &cs.c.helperSet)
 	}
 	if err != nil {
 		return fmt.Errorf("engine: cascade exact tier: %w", err)
@@ -769,6 +691,9 @@ func (cs *CascadeSession) Finalize() PanelResult {
 	}
 	cs.inner.Finalize()
 	cs.done = true
+	if err := cs.inner.err(); err != nil {
+		cs.abort(err)
+	}
 	return cs.snapshot()
 }
 
@@ -795,7 +720,7 @@ func (cs *CascadeSession) Stream(samples []int16, chunkSamples int) (PanelResult
 func (cs *CascadeSession) Decided() bool { return cs.done }
 
 // Err reports why the session stopped without deciding: non-nil exactly
-// when the session's context was cancelled while a tier waited for
+// when the session's context was cancelled while either tier waited for
 // scheduler slots, or the exact tier could not open over the survivors.
 // The verdict is then the all-Continue abandoned-read one.
 func (cs *CascadeSession) Err() error { return cs.err }
@@ -885,7 +810,7 @@ func (cs *CascadeSession) DPCells() int64 {
 func (cs *CascadeSession) snapshot() PanelResult {
 	n := len(cs.c.panel.targets)
 	per := make([]Result, n)
-	if cs.inner == nil {
+	if cs.inner == nil || cs.err != nil {
 		for i := range per {
 			per[i] = Result{Decision: sdtw.Continue, EndPos: -1}
 		}
@@ -904,7 +829,9 @@ func (cs *CascadeSession) snapshot() PanelResult {
 func (c *Cascade) Classify(samples []int16) PanelResult {
 	r, err := c.ClassifyContext(context.Background(), samples)
 	if err != nil {
-		panic(err) // unreachable: the background context never cancels
+		// Unreachable: the background context never cancels, and
+		// NewCascade's probe guarantees the exact tier opens.
+		panic(err)
 	}
 	return r
 }
@@ -915,7 +842,7 @@ func (c *Cascade) Classify(samples []int16) PanelResult {
 func (c *Cascade) ClassifyContext(ctx context.Context, samples []int16) (PanelResult, error) {
 	cs, err := c.NewSessionContext(ctx, PrunePolicy{})
 	if err != nil {
-		panic(err) // unreachable: the zero policy always validates
+		return PanelResult{}, err
 	}
 	r, _ := cs.Stream(samples, 0)
 	return r, cs.Err()

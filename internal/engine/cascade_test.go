@@ -4,9 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"squigglefilter/internal/engine/sched"
 	"squigglefilter/internal/sdtw"
 	"squigglefilter/internal/squiggle"
 )
@@ -268,7 +271,7 @@ func TestCascadeConfigValidation(t *testing.T) {
 
 // TestCascadeCloseConcurrent: Close is safe concurrent with in-flight
 // passes and with itself — the helper lifecycle holds lifeMu across
-// spawn/close decisions, so the WaitGroup Add in spawnHelpers can never
+// spawn/close decisions, so the WaitGroup Add in helperSet.spawn can never
 // race a Wait in Close (the bug this pins: a Close landing between a
 // pass's spawn decision and its Add used to return before the helpers
 // existed). Run under -race in CI.
@@ -411,6 +414,178 @@ func TestCascadeExactTierOpenFailure(t *testing.T) {
 		}
 		if !res.Undecided || res.Best != -1 {
 			t.Errorf("read of %d samples: verdict %+v, want the all-Continue abandoned read", n, res)
+		}
+	}
+}
+
+// TestCascadeClassifyContextError: ClassifyContext reports a session that
+// stopped without deciding through its error, with the all-Continue
+// verdict, instead of panicking. Opening its session cannot fail (the
+// zero prune policy always validates), so the test drives the two
+// failures a read can meet after that: an exact tier that cannot open,
+// and a context cancelled before the coarse pass.
+func TestCascadeClassifyContextError(t *testing.T) {
+	rng := rand.New(rand.NewSource(199))
+	c, _ := buildBoundedCascade(t, rng, 8, 2, 0, 600)
+	defer c.Close()
+	read := randomRead(rng, 900)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, err := c.ClassifyContext(cancelled, read); err == nil || !r.Undecided || r.Best != -1 {
+		t.Errorf("cancelled context: err %v, verdict %+v, want the cause and the all-Continue verdict", err, r)
+	}
+
+	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
+	foreign, err := NewPipeline(func() (Backend, error) { return foreignBackend{refLen: 400}, nil }, 1, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.panel.targets {
+		c.panel.targets[i].Pipeline = foreign
+	}
+	r, err := c.ClassifyContext(context.Background(), read)
+	if err == nil || !strings.Contains(err.Error(), "incremental sessions") {
+		t.Errorf("exact tier cannot open: err %v, want the open error", err)
+	}
+	if !r.Undecided || r.Best != -1 {
+		t.Errorf("exact tier cannot open: verdict %+v, want the all-Continue verdict", r)
+	}
+}
+
+// countGoroutines counts the goroutines whose state is state and whose
+// stack contains frame.
+func countGoroutines(state, frame string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "["+state) && strings.Contains(g, frame) {
+			n++
+		}
+	}
+	return n
+}
+
+// waitGoroutines polls until countGoroutines(state, frame) reaches want
+// or five seconds pass, and returns the last count.
+func waitGoroutines(state, frame string, want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := countGoroutines(state, frame)
+	for n < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = countGoroutines(state, frame)
+	}
+	return n
+}
+
+// TestCascadeExactTierFanOutUnwinds: a promotion's survivors are shared
+// between the caller and the helper set, and a read given up while they
+// are mid-stage unwinds every participant. Every target pipeline's only
+// instance is held, so the survivors' first stage queues in Acquire on
+// several goroutines at once — the caller and at least one helper, the
+// proof the exact tier fanned out. Then either the session context is
+// cancelled, or the cascade is closed and the context cancelled after.
+// Either way the session reports the cause through Err with the
+// all-Continue verdict, feeding it again does not revive it, no goroutine
+// is left beyond the helper set, and Close releases that.
+func TestCascadeExactTierFanOutUnwinds(t *testing.T) {
+	for _, closeFirst := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(211))
+		c, _ := buildBoundedCascade(t, rng, 12, 3, 0, 600)
+		read := randomRead(rng, 1200) // crosses the prefix and the 500-sample stage
+		// Helpers join only from their parking spot, so wait until every
+		// one has reached it. Cascades other tests left open park theirs
+		// there too; they stay parked, so counts are taken relative.
+		const helperFrame, acquireFrame = "(*helperSet).spawn.func1", "sched.(*Scheduler).Acquire("
+		parked := countGoroutines("select", helperFrame)
+		c.Classify(read) // spawn the helpers and settle the pools
+		if n := waitGoroutines("select", helperFrame, parked+c.workers-1); n < parked+c.workers-1 {
+			t.Fatalf("closeFirst=%v: %d of %d helpers parked", closeFirst, n-parked, c.workers-1)
+		}
+		base := runtime.NumGoroutine()
+
+		type slot struct {
+			p   *Pipeline
+			idx int
+		}
+		var held []slot
+		for _, tg := range c.panel.targets {
+			idx, err := tg.Pipeline.sch.Acquire(context.Background(), sched.Task{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, slot{tg.Pipeline, idx})
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cs, err := c.NewSessionContext(ctx, PrunePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waiting := countGoroutines("", acquireFrame)
+		fed := make(chan PanelResult, 1)
+		go func() {
+			r, _ := cs.Feed(read)
+			fed <- r
+		}()
+		if n := waitGoroutines("", acquireFrame, waiting+2) - waiting; n < 2 {
+			t.Fatalf("closeFirst=%v: %d survivor stages waiting, want the caller and a helper", closeFirst, n)
+		}
+
+		closed := make(chan struct{})
+		if closeFirst {
+			go func() {
+				c.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+				t.Fatal("Close returned while a helper was still inside a survivor's stage")
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		cancel()
+		got := <-fed
+		if closeFirst {
+			<-closed
+		}
+
+		if cs.Err() == nil || !cs.Promoted() || !cs.Decided() {
+			t.Errorf("closeFirst=%v: Err %v, promoted %v, decided %v; want a promoted session aborted with the cause",
+				closeFirst, cs.Err(), cs.Promoted(), cs.Decided())
+		}
+		if !got.Undecided || got.Best != -1 {
+			t.Errorf("closeFirst=%v: verdict %+v, want undecided", closeFirst, got)
+		}
+		for i, r := range got.PerTarget {
+			if r.Decision != sdtw.Continue {
+				t.Errorf("closeFirst=%v: target %d decided %v on a cancelled read", closeFirst, i, r.Decision)
+			}
+		}
+		if r, done := cs.Feed(read); !done || !reflect.DeepEqual(r, got) {
+			t.Errorf("closeFirst=%v: feeding after the abort changed the session: done=%v %+v", closeFirst, done, r)
+		}
+		for _, s := range held {
+			s.p.sch.Release(s.idx)
+		}
+
+		settle := func(limit int) int {
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			return runtime.NumGoroutine()
+		}
+		if !closeFirst {
+			if n := settle(base); n > base {
+				t.Errorf("cancelled exact tier left %d goroutines, baseline %d with the helpers", n, base)
+			}
+			c.Close()
+		}
+		if n := settle(base - (c.workers - 1)); n > base-(c.workers-1) {
+			t.Errorf("closeFirst=%v: %d goroutines after Close, want at most %d (baseline less the helpers)",
+				closeFirst, n, base-(c.workers-1))
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"squigglefilter/internal/sdtw"
 )
@@ -86,39 +84,24 @@ func panelResult(per []Result) PanelResult {
 }
 
 // runTargets fans fn over every target index using at most p.workers
-// goroutines — a bounded worker set instead of a goroutine per target,
-// and no goroutine at all for a single-target panel.
+// participants claiming targets through one claimJob — a bounded worker
+// set instead of a goroutine per target, and no goroutine at all for a
+// single-target panel.
 func (p *Panel) runTargets(fn func(ti int)) {
 	// Cap at the target count here, at the use site, so the worker set can
 	// never outgrow the work even if the construction-time sizing changes;
 	// a 1-worker set runs inline — no goroutines or WaitGroup wake-ups on
 	// a single-CPU host.
-	workers := p.workers
-	if workers > len(p.targets) {
-		workers = len(p.targets)
-	}
+	workers := min(p.workers, len(p.targets))
 	if workers == 1 {
 		for ti := range p.targets {
 			fn(ti)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= len(p.targets) {
-					return
-				}
-				fn(ti)
-			}
-		}()
-	}
-	wg.Wait()
+	j := &claimJob{body: claimFunc(fn)}
+	j.reset(len(p.targets))
+	j.runSpawned(workers)
 }
 
 // Classify runs one read against every target, fanning multi-target

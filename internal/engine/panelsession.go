@@ -46,9 +46,12 @@ func (pp PrunePolicy) validate() error {
 // dominates them, so the differential panel's marginal cost over a
 // single-target detector shrinks as reads become unambiguous.
 //
-// A PanelSession is single-read and single-goroutine, like the per-target
-// Sessions it wraps; any number of concurrent panel sessions may be open
-// at once (their DP work serializes on the target pipelines' instances).
+// A PanelSession is single-read and single-goroutine from its caller's
+// side; any number of concurrent panel sessions may be open at once
+// (their DP work serializes on the target pipelines' instances). A
+// session opened with a helper set (the cascade's exact tier) may run
+// one delivery's per-target sessions on several goroutines, but every
+// decision about which targets stay live is made on the caller.
 type PanelSession struct {
 	prune PrunePolicy
 	sess  []*Session
@@ -60,6 +63,17 @@ type PanelSession struct {
 	live    int
 	fed     int
 	done    bool
+
+	// One delivery's fan-out: the caller lists the live targets in order,
+	// and the participants of job — the caller plus whatever idle helpers
+	// join — claim them, each running one target's Session on chunk (or
+	// its Finalize when final). Only target i's own per[i] and Session are
+	// written by whoever claims it.
+	helpers *helperSet // nil: the caller feeds every target itself
+	job     claimJob
+	order   []int
+	chunk   []int16
+	final   bool
 }
 
 // NewSession starts an incremental classification of one read against
@@ -76,6 +90,12 @@ func (p *Panel) NewSession(prune PrunePolicy) (*PanelSession, error) {
 // cascade threads its session context through here so the exact tier
 // honors the same cancellation as the coarse pass.
 func (p *Panel) NewSessionContext(ctx context.Context, prune PrunePolicy) (*PanelSession, error) {
+	return p.newSession(ctx, prune, nil)
+}
+
+// newSession opens a panel session whose deliveries the given helper set
+// may join (nil keeps every delivery on the caller).
+func (p *Panel) newSession(ctx context.Context, prune PrunePolicy, helpers *helperSet) (*PanelSession, error) {
 	if err := prune.validate(); err != nil {
 		return nil, err
 	}
@@ -87,7 +107,10 @@ func (p *Panel) NewSessionContext(ctx context.Context, prune PrunePolicy) (*Pane
 		stopped: make([]bool, n),
 		pruned:  make([]bool, n),
 		live:    n,
+		helpers: helpers,
+		order:   make([]int, 0, n),
 	}
+	ps.job.body = ps
 	for i, t := range p.targets {
 		s, err := t.Pipeline.NewSessionContext(ctx)
 		if err != nil {
@@ -119,20 +142,65 @@ func (ps *PanelSession) feed(chunk []int16) bool {
 		return true
 	}
 	ps.fed += len(chunk)
+	ps.deliver(chunk, false)
+	ps.applyPruning()
+	ps.done = ps.live == 0
+	return ps.done
+}
+
+// deliver runs one delivery — chunk, or the read's end when final — on
+// every live target, then retires the targets it decided. When at least
+// two live targets have a stage to evaluate, the delivery is shared with
+// the helper set; otherwise it stays on the caller and wakes nobody.
+// Either way each target sees exactly the signal a serial loop would
+// give it, and stopped/live change only here, after the join.
+func (ps *PanelSession) deliver(chunk []int16, final bool) {
+	ps.order = ps.order[:0]
+	due := 0
 	for i, s := range ps.sess {
 		if ps.stopped[i] {
 			continue
 		}
-		r, decided := s.Feed(chunk)
-		ps.per[i] = r
-		if decided {
+		ps.order = append(ps.order, i)
+		if s.stageDue(len(chunk), final) {
+			due++
+		}
+	}
+	h := ps.helpers
+	if due < 2 {
+		h = nil
+	}
+	ps.chunk, ps.final = chunk, final
+	ps.job.reset(len(ps.order))
+	h.run(&ps.job)
+	ps.chunk = nil
+	for _, i := range ps.order {
+		if ps.sess[i].done {
 			ps.stopped[i] = true
 			ps.live--
 		}
 	}
-	ps.applyPruning()
-	ps.done = ps.live == 0
-	return ps.done
+}
+
+// claim runs the delivery on the k-th live target.
+func (ps *PanelSession) claim(k int) {
+	i := ps.order[k]
+	if ps.final {
+		ps.per[i] = ps.sess[i].Finalize()
+	} else {
+		ps.per[i], _ = ps.sess[i].Feed(ps.chunk)
+	}
+}
+
+// err returns the first target session error in panel order: a target
+// whose context was cancelled while it waited for an instance.
+func (ps *PanelSession) err() error {
+	for _, s := range ps.sess {
+		if s.err != nil {
+			return s.err
+		}
+	}
+	return nil
 }
 
 // applyPruning abandons live targets an accepted leader dominates beyond
@@ -160,6 +228,19 @@ func (ps *PanelSession) applyPruning() {
 	}
 }
 
+// abandon stops every live target undecided: the owning cascade gave the
+// read up.
+func (ps *PanelSession) abandon() {
+	for i, s := range ps.sess {
+		if !ps.stopped[i] {
+			ps.per[i] = s.Abandon()
+			ps.stopped[i] = true
+			ps.live--
+		}
+	}
+	ps.done = true
+}
+
 // exceedsMargin reports rate(r) - rate(leader) > margin in exact integer
 // arithmetic: Cost_r/Used_r - Cost_l/Used_l > margin multiplied through
 // by the (positive) sample counts.
@@ -182,14 +263,7 @@ func (ps *PanelSession) Finalize() PanelResult {
 	if ps.done {
 		return ps.snapshot()
 	}
-	for i, s := range ps.sess {
-		if ps.stopped[i] {
-			continue
-		}
-		ps.per[i] = s.Finalize()
-		ps.stopped[i] = true
-		ps.live--
-	}
+	ps.deliver(nil, true)
 	ps.done = true
 	return ps.snapshot()
 }

@@ -384,9 +384,7 @@ func (p *Pipeline) classify(ctx context.Context, samples []int16) (Result, error
 	if p.shardWidth > 0 {
 		sess, err := p.NewSessionContext(ctx)
 		if err != nil {
-			// Unreachable: SetShards only enables sharding on sessionable
-			// engine-built back-ends.
-			panic("engine: " + err.Error())
+			return Result{Decision: sdtw.Continue, EndPos: -1}, err
 		}
 		sess.Feed(samples)
 		res := sess.Finalize()
@@ -399,36 +397,22 @@ func (p *Pipeline) classify(ctx context.Context, samples []int16) (Result, error
 	return res, err
 }
 
-// fanOut runs fn(i) for i in [0, n) over a bounded set of goroutines that
-// all dispatch through the scheduler — the one fan-out helper behind
-// ClassifyBatch and ClassifyStream. It stops early when ctx is cancelled.
+// fanOut runs fn(i) for i in [0, n) over a bounded set of participants
+// claiming reads through one claimJob, each dispatching through the
+// scheduler — the one fan-out helper behind ClassifyBatch. It stops
+// claiming once ctx is cancelled.
 func (p *Pipeline) fanOut(ctx context.Context, n int, fn func(i int)) {
-	workers := 2 * p.n // keep the EDF queue fed while results drain
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			fn(i)
+	j := &claimJob{}
+	j.body = claimFunc(func(i int) {
+		if ctx.Err() != nil {
+			j.stop()
+			return
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+		fn(i)
+	})
+	j.reset(n)
+	// Twice the instances keeps the EDF queue fed while results drain.
+	j.runSpawned(min(2*p.n, n))
 }
 
 // ClassifyBatch classifies a batch of reads concurrently across the

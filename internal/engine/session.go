@@ -202,6 +202,19 @@ func (s *Session) Abandon() Result {
 	return s.res
 }
 
+// stageDue reports whether delivering n more raw samples — or, when
+// final, ending the read — makes the session evaluate a stage: the DP a
+// panel delivery is worth sharing out for.
+func (s *Session) stageDue(n int, final bool) bool {
+	if s.done || s.stage >= len(s.stages) {
+		return false
+	}
+	if final {
+		return len(s.buf) > 0
+	}
+	return len(s.buf)+n >= s.stages[s.stage].PrefixSamples-s.consumed
+}
+
 // SamplesBuffered returns the raw samples parked awaiting the next stage
 // boundary (diagnostics for schedulers).
 func (s *Session) SamplesBuffered() int { return len(s.buf) }

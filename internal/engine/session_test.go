@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -433,4 +435,25 @@ func (f foreignBackend) Classify([]int16, []sdtw.Stage) Result {
 }
 func (f foreignBackend) NewSession([]sdtw.Stage) (*Session, error) {
 	return nil, nil
+}
+
+// TestPipelineClassifySessionOpenError: when the sharded read path cannot
+// open its session, classify returns the error with the abandoned-read
+// verdict instead of panicking. SetShards refuses foreign back-ends, so
+// the test sets the shard width on one directly.
+func TestPipelineClassifySessionOpenError(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	stages := []sdtw.Stage{{PrefixSamples: 100, Threshold: 1000}}
+	p, err := NewPipeline(func() (Backend, error) { return foreignBackend{refLen: 500}, nil }, 1, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.shardWidth = 250
+	r, err := p.classify(context.Background(), randomRead(rng, 300))
+	if err == nil || !strings.Contains(err.Error(), "incremental sessions") {
+		t.Fatalf("classify error = %v, want the session open error", err)
+	}
+	if r.Decision != sdtw.Continue || r.EndPos != -1 {
+		t.Errorf("classify result %+v, want the abandoned-read verdict", r)
+	}
 }

@@ -33,6 +33,9 @@ cd "$(dirname "$0")/.."
 #   pass takes one scheduler slot per lane group of 16 references, an
 #   exact tier that cannot open aborts the session with an error instead
 #   of a panic, and the flow cell prices one coarse pass per read.
+# - Exact-tier fan-out: survivors shared with the helper set unwind on
+#   cancel and on Close with no leaked goroutine, and the one-shot
+#   classify paths return their errors instead of panicking.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity TestAVX2StripsVEXOnly
@@ -45,6 +48,7 @@ gates='
 ./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers
 ./internal/engine TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup TestCascadeExactTierOpenFailure
 ./internal/minion TestFlowCellCoarseTier
+./internal/engine TestCascadeExactTierFanOutUnwinds TestCascadeClassifyContextError TestPipelineClassifySessionOpenError
 '
 
 missing=0
