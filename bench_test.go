@@ -229,6 +229,7 @@ func BenchmarkCascade1000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(cp.Close)
 	sim, err := squiggle.NewSimulator(pore.DefaultModel(), squiggle.DefaultConfig(), 9)
 	if err != nil {
 		b.Fatal(err)
@@ -457,7 +458,7 @@ func flowcellBenchPool(virus, host *genome.Genome, backend string) (*benchFlowCe
 	targets, hosts := sim.FixedLengthPair(virus, host, 12, 500, 1500)
 	ref := pore.DefaultModel().BuildReference(virus)
 	stages := []sdtw.Stage{{PrefixSamples: 400, Threshold: 1200}}
-	pipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+	pipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig())
 	}, 4, stages)
 	if err != nil {
@@ -472,7 +473,7 @@ func flowcellBenchPool(virus, host *genome.Genome, backend string) (*benchFlowCe
 	}
 	cfg.BlockRatePerHour = 0
 	if backend == "hw" {
-		hwPipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+		hwPipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 			return engine.NewHardware(ref.Int8, sdtw.DefaultIntConfig())
 		}, 1, stages)
 		if err != nil {

@@ -29,6 +29,7 @@ func cascadeFixture(t testing.TB, rng *rand.Rand, n, genomeBases int, cc Cascade
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(cp.Close)
 	sim, err := squiggle.NewSimulator(pore.DefaultModel(), squiggle.DefaultConfig(), rng.Int63())
 	if err != nil {
 		t.Fatal(err)

@@ -128,19 +128,19 @@ func buildPipeline(seq string, backend string, workers, shards, prefix int, thre
 	ref := pore.DefaultModel().BuildReference(&genome.Genome{Name: "target", Seq: g})
 	icfg := sdtw.DefaultIntConfig()
 	stages := []sdtw.Stage{{PrefixSamples: prefix, Threshold: threshold}}
-	var factory func() (engine.Backend, error)
+	var factory func() (*engine.Backend, error)
 	instances, servers := workers, workers
 	switch backend {
 	case "sw":
-		factory = func() (engine.Backend, error) { return engine.NewSoftware(ref.Int8, icfg) }
+		factory = func() (*engine.Backend, error) { return engine.NewSoftware(ref.Int8, icfg) }
 	case "hw":
 		// One pipeline instance per independent tile; the device has
 		// hw.NumTiles of them.
-		factory = func() (engine.Backend, error) { return engine.NewHardwareTiles(ref.Int8, icfg, 0) }
+		factory = func() (*engine.Backend, error) { return engine.NewHardwareTiles(ref.Int8, icfg, 0) }
 		instances, servers = hw.NumTiles, hw.NumTiles
 	case "gpu":
 		// A single GPU serves every channel serially.
-		factory = func() (engine.Backend, error) { return engine.NewGPU(ref.Int8, icfg, gpu.TitanXP()) }
+		factory = func() (*engine.Backend, error) { return engine.NewGPU(ref.Int8, icfg, gpu.TitanXP()) }
 		instances, servers = 1, 1
 	default:
 		log.Fatalf("unknown backend %q (want sw, hw, or gpu)", backend)
@@ -299,11 +299,7 @@ func main() {
 		// pool size. Sessions run on the selected back-end's own pool.
 		mode = *backend + "/stream"
 		for i, s := range samples {
-			sess, err := streamPipe.NewSession()
-			if err != nil {
-				log.Fatal(err)
-			}
-			v, _ := sess.Stream(s, *chunk)
+			v, _ := streamPipe.NewSession().Stream(s, *chunk)
 			cm.Add(reads[i].Target, v.Decision == sdtw.Accept)
 			sum.add(squigglefilter.Decision(v.Decision))
 			consumed += int64(v.SamplesUsed)

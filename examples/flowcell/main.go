@@ -54,7 +54,7 @@ func main() {
 	ref := pore.DefaultModel().BuildReference(virus)
 	icfg := sdtw.DefaultIntConfig()
 	stages := []sdtw.Stage{{PrefixSamples: prefixSamples, Threshold: prefixSamples * 3}}
-	swPipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+	swPipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewSoftware(ref.Int8, icfg)
 	}, 4, stages)
 	if err != nil {
@@ -65,7 +65,7 @@ func main() {
 	// latency of the paper's software pipeline (Table 3) — per delivered
 	// chunk, longer than the 0.1 s chunk period, so a GPU cannot keep up
 	// even before queueing. sw: self-calibrated on this host.
-	hwPipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+	hwPipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewHardware(ref.Int8, icfg)
 	}, 1, stages)
 	if err != nil {

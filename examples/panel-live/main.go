@@ -48,7 +48,7 @@ func main() {
 	// DP is abandoned unless it is still competitive.
 	newTarget := func(g *genome.Genome, stages []sdtw.Stage) engine.Target {
 		ref := pore.DefaultModel().BuildReference(g)
-		p, err := engine.NewPipeline(func() (engine.Backend, error) {
+		p, err := engine.NewPipeline(func() (*engine.Backend, error) {
 			return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig())
 		}, 2, stages)
 		if err != nil {

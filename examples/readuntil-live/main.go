@@ -48,7 +48,7 @@ func main() {
 	// park their DP row between chunk deliveries.
 	ref := pore.DefaultModel().BuildReference(virus)
 	stages := []sdtw.Stage{{PrefixSamples: prefixSamples, Threshold: prefixSamples * 3}}
-	pipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+	pipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig())
 	}, 2, stages)
 	if err != nil {

@@ -15,11 +15,11 @@ import (
 // NewSoftware returns the pure-software back-end: the integer sDTW engine
 // of internal/sdtw with no performance model. It is safe for concurrent
 // use.
-func NewSoftware(ref []int8, cfg sdtw.IntConfig) (Backend, error) {
+func NewSoftware(ref []int8, cfg sdtw.IntConfig) (*Backend, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("engine: empty reference")
 	}
-	return newStager(&swKernel{ref: ref, cfg: cfg}), nil
+	return newBackend(&swKernel{ref: ref, cfg: cfg}), nil
 }
 
 // NewSoftwareSharded is NewSoftware with the serial cache-blocked sharded
@@ -30,16 +30,15 @@ func NewSoftware(ref []int8, cfg sdtw.IntConfig) (Backend, error) {
 // construction. shards <= 1 (or a single resulting shard) selects the
 // plain path. For intra-read *parallelism* over shards, configure the
 // sharing at the pipeline instead (Pipeline.SetShards).
-func NewSoftwareSharded(ref []int8, cfg sdtw.IntConfig, shards int) (Backend, error) {
+func NewSoftwareSharded(ref []int8, cfg sdtw.IntConfig, shards int) (*Backend, error) {
 	b, err := NewSoftware(ref, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := b.(*stager)
 	if width := sdtw.ShardWidth(len(ref), shards); width < len(ref) {
-		s.shardWidth = width
+		b.shardWidth = width
 	}
-	return s, nil
+	return b, nil
 }
 
 // swKernel is the software kernel: sdtw's int32 row sweep, with its AVX2
@@ -193,12 +192,12 @@ func calibrateLaneCellSeconds() float64 {
 // Pipeline to model the device's independent tiles. The reference must fit
 // one tile's 100 KB buffer; NewHardwareTiles gangs tiles cooperatively for
 // longer references.
-func NewHardware(ref []int8, cfg sdtw.IntConfig) (Backend, error) {
+func NewHardware(ref []int8, cfg sdtw.IntConfig) (*Backend, error) {
 	tile, err := hw.NewTile(ref, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newStager(&hwKernel{dev: tile}), nil
+	return newBackend(&hwKernel{dev: tile}), nil
 }
 
 // NewHardwareTiles returns the hardware back-end over a multi-tile
@@ -209,7 +208,7 @@ func NewHardware(ref []int8, cfg sdtw.IntConfig) (Backend, error) {
 // count that holds the reference; a reference that fits one tile with
 // tiles <= 1 degrades to the plain single-tile back-end. Like NewHardware,
 // the back-end is NOT safe for concurrent use.
-func NewHardwareTiles(ref []int8, cfg sdtw.IntConfig, tiles int) (Backend, error) {
+func NewHardwareTiles(ref []int8, cfg sdtw.IntConfig, tiles int) (*Backend, error) {
 	if tiles <= 1 && len(ref) <= hw.RefBufferBytes {
 		return NewHardware(ref, cfg)
 	}
@@ -217,7 +216,7 @@ func NewHardwareTiles(ref []int8, cfg sdtw.IntConfig, tiles int) (Backend, error
 	if err != nil {
 		return nil, err
 	}
-	return newStager(&hwKernel{dev: g}), nil
+	return newBackend(&hwKernel{dev: g}), nil
 }
 
 // tileDevice is the cycle-accurate device a hardware kernel drives: one
@@ -257,11 +256,11 @@ func (k *hwKernel) serviceTime(chunkSamples int) time.Duration {
 // integer sDTW arithmetic as the software back-end (verdicts are
 // bit-identical) and models the kernel latency the device would take from
 // its measured Table 3 envelope. It is safe for concurrent use.
-func NewGPU(ref []int8, cfg sdtw.IntConfig, dev gpu.Device) (Backend, error) {
+func NewGPU(ref []int8, cfg sdtw.IntConfig, dev gpu.Device) (*Backend, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("engine: empty reference")
 	}
-	return newStager(&gpuKernel{ref: ref, cfg: cfg, dev: dev}), nil
+	return newBackend(&gpuKernel{ref: ref, cfg: cfg, dev: dev}), nil
 }
 
 type gpuKernel struct {

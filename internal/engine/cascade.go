@@ -201,17 +201,10 @@ func NewCascade(panel *Panel, coarseRefs [][]int8, icfg sdtw.IntConfig, cfg Casc
 			len(coarseRefs), len(panel.targets))
 	}
 	// Build and validate the lane panel once here, so the pooled scorers
-	// are plain scratch over it, and probe a panel session so promotion
-	// cannot fail either (it fails only for pipelines this package did
-	// not build).
+	// are plain scratch over it.
 	lanes, err := sdtw.NewCoarseLanes(coarseRefs, icfg)
 	if err != nil {
 		return nil, err
-	}
-	if probe, err := panel.NewSession(PrunePolicy{}); err != nil {
-		return nil, fmt.Errorf("engine: cascade exact tier: %w", err)
-	} else {
-		probe.Finalize()
 	}
 	workers := len(panel.targets)
 	if n := runtime.NumCPU(); workers > n {
@@ -558,7 +551,7 @@ func (cs *CascadeSession) feedChunk(chunk []int16) bool {
 		if len(cs.buf) < cs.c.cfg.CoarsePrefix {
 			return false
 		}
-		cs.c.promote(cs) // a failed promotion aborts cs
+		cs.c.promote(cs) // a cancelled coarse pass aborts cs
 		return cs.done
 	}
 	cs.feedInner(chunk)
@@ -576,9 +569,9 @@ func (cs *CascadeSession) feedInner(chunk []int16) {
 }
 
 // abort stops the session without a decision: the read's context was
-// cancelled in either tier, or the exact tier could not open. Live
-// survivors are abandoned, the verdict reverts to all-Continue (exactly
-// an abandoned read) and Err reports the cause.
+// cancelled in either tier. Live survivors are abandoned, the verdict
+// reverts to all-Continue (exactly an abandoned read) and Err reports the
+// cause.
 func (cs *CascadeSession) abort(err error) {
 	cs.err = err
 	cs.buf = nil
@@ -594,32 +587,29 @@ func (cs *CascadeSession) abort(err error) {
 // target survives, zero coarse DP); with an empty buffer — a read
 // finalized before any signal — there is no evidence to prune on, so
 // every target survives and decides on nothing, exactly as the plain
-// panel would. A failure — ctx cancelling in either tier, or an exact
-// tier that cannot open — aborts the session and is returned.
-func (c *Cascade) promote(cs *CascadeSession) error {
-	var err error
+// panel would. ctx cancelling in either tier aborts the session, which
+// then reports the cause through Err.
+func (c *Cascade) promote(cs *CascadeSession) {
 	if c.cfg.TopK < len(c.panel.targets) && len(cs.buf) > 0 {
 		p := c.getPass(cs.ctx, cs.buf)
-		if err = p.run(); err == nil {
+		err := p.run()
+		if err == nil {
 			cs.commit(p)
 		}
 		c.putPass(p)
+		if err != nil {
+			cs.abort(err)
+			return
+		}
 	} else {
 		cs.allSurvive()
 	}
-	if err == nil {
-		err = cs.openInner()
-	}
-	if err != nil {
-		cs.abort(err)
-		return err
-	}
+	cs.openInner()
 	buf := cs.buf
 	cs.buf = nil
 	if len(buf) > 0 {
 		cs.feedInner(buf)
 	}
-	return cs.err
 }
 
 // commit copies the pass's results onto the session: survivor set,
@@ -658,23 +648,13 @@ func (cs *CascadeSession) allSurvive() {
 
 // openInner opens the exact tier over the committed survivor set, sharing
 // the cascade's helper set so one delivery's survivors can run on several
-// goroutines. The survivors are non-empty (TopK >= 1) and the prune
-// policy was validated at NewSession, so it fails only when a survivor's
-// pipeline cannot host sessions — which NewCascade's probe rules out for
-// every panel it accepts.
-func (cs *CascadeSession) openInner() error {
+// goroutines. The prune policy was validated at NewSession.
+func (cs *CascadeSession) openInner() {
 	sub := make([]Target, len(cs.surv))
 	for j, i := range cs.surv {
 		sub[j] = cs.c.panel.targets[i]
 	}
-	subPanel, err := NewPanel(sub)
-	if err == nil {
-		cs.inner, err = subPanel.newSession(cs.ctx, cs.prune, &cs.c.helperSet)
-	}
-	if err != nil {
-		return fmt.Errorf("engine: cascade exact tier: %w", err)
-	}
-	return nil
+	cs.inner = newPanelSession(cs.ctx, sub, cs.prune, &cs.c.helperSet)
 }
 
 // Finalize signals that the read ended. A read shorter than the coarse
@@ -685,7 +665,7 @@ func (cs *CascadeSession) Finalize() PanelResult {
 		return cs.snapshot()
 	}
 	if cs.inner == nil {
-		if err := cs.c.promote(cs); err != nil {
+		if cs.c.promote(cs); cs.err != nil {
 			return cs.snapshot() // the promotion aborted cs
 		}
 	}
@@ -721,8 +701,7 @@ func (cs *CascadeSession) Decided() bool { return cs.done }
 
 // Err reports why the session stopped without deciding: non-nil exactly
 // when the session's context was cancelled while either tier waited for
-// scheduler slots, or the exact tier could not open over the survivors.
-// The verdict is then the all-Continue abandoned-read one.
+// scheduler slots. The verdict is then the all-Continue abandoned-read one.
 func (cs *CascadeSession) Err() error { return cs.err }
 
 // SamplesFed returns the raw samples delivered so far.
@@ -829,8 +808,7 @@ func (cs *CascadeSession) snapshot() PanelResult {
 func (c *Cascade) Classify(samples []int16) PanelResult {
 	r, err := c.ClassifyContext(context.Background(), samples)
 	if err != nil {
-		// Unreachable: the background context never cancels, and
-		// NewCascade's probe guarantees the exact tier opens.
+		// Unreachable: the background context never cancels.
 		panic(err)
 	}
 	return r

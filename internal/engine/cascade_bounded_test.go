@@ -60,6 +60,7 @@ func buildBoundedCascade(t testing.TB, rng *rand.Rand, n, topK int, margin int64
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	scorer, err := sdtw.NewCoarseScorer(coarse, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +69,18 @@ func buildBoundedCascade(t testing.TB, rng *rand.Rand, n, topK int, margin int64
 	// persistent-helper handoff is always under test (the scheduler pool
 	// keeps its own sizing; participants just queue for its slots).
 	if c.workers < 4 {
-		c.workers = 4
+		setHelpers(c, 4)
 	}
 	return c, scorer
+}
+
+// setHelpers replaces c's helper set with one of the given worker count,
+// so tests can put the helper handoff under test on any host. No read
+// may be in flight.
+func setHelpers(c *Cascade, workers int) {
+	c.helperSet.close()
+	c.helperSet = helperSet{}
+	c.helperSet.init(workers)
 }
 
 // TestCascadeBoundedSurvivorIdentity is the coarse pass's contract: the
@@ -161,12 +171,12 @@ func TestCascadeSessionContextCancel(t *testing.T) {
 	c := swCascade(t, panel, refs, CascadeConfig{TopK: 2, CoarsePrefix: 600})
 	defer c.Close()
 	if c.workers < 3 {
-		c.workers = 3 // force helpers into the pass even on one CPU
+		setHelpers(c, 3) // force helpers into the pass even on one CPU
 	}
 	read := randomRead(rng, 600)
 
-	// Warm up: spawn the persistent helpers and settle the pools, so the
-	// goroutine baseline below includes everything long-lived.
+	// Warm up: settle the pools, so the goroutine baseline below includes
+	// everything long-lived.
 	c.Classify(read)
 	base := runtime.NumGoroutine()
 
@@ -232,8 +242,9 @@ func TestCascadeSessionContextCancel(t *testing.T) {
 	}
 }
 
-// TestCascadeCloseReleasesWorkers: the persistent helper set spawns once,
-// parks between reads, and exits on Close (which is idempotent).
+// TestCascadeCloseReleasesWorkers: the persistent helper set starts with
+// the cascade, parks between reads, and exits on Close (which is
+// idempotent).
 func TestCascadeCloseReleasesWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	cfg := sdtw.DefaultIntConfig()
@@ -248,11 +259,11 @@ func TestCascadeCloseReleasesWorkers(t *testing.T) {
 		targets[i] = swTarget(t, "t", r, cfg, 1, stages)
 	}
 	panel := swPanel(t, targets)
+	base := runtime.NumGoroutine()
 	c := swCascade(t, panel, refs, CascadeConfig{TopK: 2, CoarsePrefix: 600})
 	if c.workers < 3 {
-		c.workers = 3 // force helpers into the pass even on one CPU
+		setHelpers(c, 3) // force helpers into the pass even on one CPU
 	}
-	base := runtime.NumGoroutine()
 	read := randomRead(rng, 600)
 	c.Classify(read)
 	c.Classify(read) // helpers persist and are reused, not respawned
@@ -329,7 +340,7 @@ func BenchmarkCoarseScore(b *testing.B) {
 	c := swCascade(b, panel, refs, CascadeConfig{TopK: 8})
 	defer c.Close()
 	read := randomRead(rng, DefaultCoarsePrefix)
-	runCoarsePass(b, c, read) // warm pools and helpers
+	runCoarsePass(b, c, read) // warm the pools
 
 	var cells int64
 	b.ResetTimer()

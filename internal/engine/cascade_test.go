@@ -57,6 +57,7 @@ func swCascade(t testing.TB, panel *Panel, refs [][]int8, cfg CascadeConfig) *Ca
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	return c
 }
 
@@ -262,6 +263,7 @@ func TestCascadeConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	got := c.Config()
 	want := CascadeConfig{Decimation: DefaultDecimation, TopK: DefaultTopK, CoarsePrefix: DefaultCoarsePrefix, QueryDwell: DefaultQueryDwell}
 	if got != want {
@@ -270,11 +272,9 @@ func TestCascadeConfigValidation(t *testing.T) {
 }
 
 // TestCascadeCloseConcurrent: Close is safe concurrent with in-flight
-// passes and with itself — the helper lifecycle holds lifeMu across
-// spawn/close decisions, so the WaitGroup Add in helperSet.spawn can never
-// race a Wait in Close (the bug this pins: a Close landing between a
-// pass's spawn decision and its Add used to return before the helpers
-// existed). Run under -race in CI.
+// passes and with itself — every helper starts with the cascade, so
+// Close's Wait never races a helper's start, and a pass that hands off
+// after Close drains on its caller. Run under -race in CI.
 func TestCascadeCloseConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	for trial := 0; trial < 8; trial++ {
@@ -381,49 +381,12 @@ func TestCascadePassPoolReuseOnCancel(t *testing.T) {
 	}
 }
 
-// TestCascadeExactTierOpenFailure: when the exact tier cannot open over
-// the survivors, promotion aborts the session with the error instead of
-// panicking. NewCascade's probe refuses pipelines this package did not
-// build, so the test swaps one in after construction. Every promotion
-// path is covered: the prefix crossing, a short read's Finalize, and an
-// empty read. Each leaves the session decided but unpromoted, with the
-// all-Continue verdict and the cause in Err.
-func TestCascadeExactTierOpenFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(197))
-	c, _ := buildBoundedCascade(t, rng, 8, 2, 0, 600)
-	defer c.Close()
-	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
-	foreign, err := NewPipeline(func() (Backend, error) { return foreignBackend{refLen: 400}, nil }, 1, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c.panel.targets {
-		c.panel.targets[i].Pipeline = foreign
-	}
-	for _, n := range []int{900, 300, 0} { // crosses the prefix, ends short of it, empty
-		cs, err := c.NewSession(PrunePolicy{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, _ := cs.Stream(randomRead(rng, n), 200)
-		if cs.Err() == nil || !strings.Contains(cs.Err().Error(), "incremental sessions") {
-			t.Errorf("read of %d samples: Err = %v, want the exact tier's open error", n, cs.Err())
-		}
-		if cs.Promoted() || !cs.Decided() {
-			t.Errorf("read of %d samples: promoted=%v decided=%v, want an aborted session", n, cs.Promoted(), cs.Decided())
-		}
-		if !res.Undecided || res.Best != -1 {
-			t.Errorf("read of %d samples: verdict %+v, want the all-Continue abandoned read", n, res)
-		}
-	}
-}
-
 // TestCascadeClassifyContextError: ClassifyContext reports a session that
 // stopped without deciding through its error, with the all-Continue
 // verdict, instead of panicking. Opening its session cannot fail (the
-// zero prune policy always validates), so the test drives the two
-// failures a read can meet after that: an exact tier that cannot open,
-// and a context cancelled before the coarse pass.
+// zero prune policy always validates), so the test drives the one
+// failure a read can meet after that: a context cancelled before the
+// coarse pass.
 func TestCascadeClassifyContextError(t *testing.T) {
 	rng := rand.New(rand.NewSource(199))
 	c, _ := buildBoundedCascade(t, rng, 8, 2, 0, 600)
@@ -434,22 +397,6 @@ func TestCascadeClassifyContextError(t *testing.T) {
 	cancel()
 	if r, err := c.ClassifyContext(cancelled, read); err == nil || !r.Undecided || r.Best != -1 {
 		t.Errorf("cancelled context: err %v, verdict %+v, want the cause and the all-Continue verdict", err, r)
-	}
-
-	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
-	foreign, err := NewPipeline(func() (Backend, error) { return foreignBackend{refLen: 400}, nil }, 1, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c.panel.targets {
-		c.panel.targets[i].Pipeline = foreign
-	}
-	r, err := c.ClassifyContext(context.Background(), read)
-	if err == nil || !strings.Contains(err.Error(), "incremental sessions") {
-		t.Errorf("exact tier cannot open: err %v, want the open error", err)
-	}
-	if !r.Undecided || r.Best != -1 {
-		t.Errorf("exact tier cannot open: verdict %+v, want the all-Continue verdict", r)
 	}
 }
 
@@ -467,6 +414,10 @@ func countGoroutines(state, frame string) int {
 	}
 	return n
 }
+
+// helperFrame is the stack frame of a helper parked or working in a
+// cascade's helper set.
+const helperFrame = "(*helperSet).serve("
 
 // waitGoroutines polls until countGoroutines(state, frame) reaches want
 // or five seconds pass, and returns the last count.
@@ -494,15 +445,15 @@ func TestCascadeExactTierFanOutUnwinds(t *testing.T) {
 	for _, closeFirst := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(211))
 		c, _ := buildBoundedCascade(t, rng, 12, 3, 0, 600)
-		read := randomRead(rng, 1200) // crosses the prefix and the 500-sample stage
+		// The read crosses the prefix and the 500-sample stage; one
+		// classification settles the pools.
+		read := randomRead(rng, 1200)
+		c.Classify(read)
 		// Helpers join only from their parking spot, so wait until every
-		// one has reached it. Cascades other tests left open park theirs
-		// there too; they stay parked, so counts are taken relative.
-		const helperFrame, acquireFrame = "(*helperSet).spawn.func1", "sched.(*Scheduler).Acquire("
-		parked := countGoroutines("select", helperFrame)
-		c.Classify(read) // spawn the helpers and settle the pools
-		if n := waitGoroutines("select", helperFrame, parked+c.workers-1); n < parked+c.workers-1 {
-			t.Fatalf("closeFirst=%v: %d of %d helpers parked", closeFirst, n-parked, c.workers-1)
+		// one has reached it. Every other cascade is closed by now, so
+		// these are the only helpers.
+		if n := waitGoroutines("select", helperFrame, c.workers-1); n != c.workers-1 {
+			t.Fatalf("closeFirst=%v: %d helpers parked, want %d", closeFirst, n, c.workers-1)
 		}
 		base := runtime.NumGoroutine()
 
@@ -523,6 +474,7 @@ func TestCascadeExactTierFanOutUnwinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		const acquireFrame = "sched.(*Scheduler).Acquire("
 		waiting := countGoroutines("", acquireFrame)
 		fed := make(chan PanelResult, 1)
 		go func() {
@@ -587,5 +539,37 @@ func TestCascadeExactTierFanOutUnwinds(t *testing.T) {
 			t.Errorf("closeFirst=%v: %d goroutines after Close, want at most %d (baseline less the helpers)",
 				closeFirst, n, base-(c.workers-1))
 		}
+	}
+}
+
+// TestCascadeHelpersParkedBeforeFirstRead: NewCascade starts the helper
+// set, so its workers-1 helpers are parked before the first read is fed
+// and that read's promotion can hand its coarse pass and exact tier to
+// them. The handoff is non-blocking, so a helper that is not parked yet
+// when a promotion looks for it leaves the work on the caller.
+func TestCascadeHelpersParkedBeforeFirstRead(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("a one-CPU host sizes the helper set to no helpers")
+	}
+	rng := rand.New(rand.NewSource(223))
+	cfg := sdtw.DefaultIntConfig()
+	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 4}}
+	refs := make([][]int8, 8)
+	targets := make([]Target, len(refs))
+	for i := range refs {
+		refs[i] = randomRef(rng, 800)
+		targets[i] = swTarget(t, "t", refs[i], cfg, 1, stages)
+	}
+	before := countGoroutines("select", helperFrame)
+	c := swCascade(t, swPanel(t, targets), refs, CascadeConfig{TopK: 2, CoarsePrefix: 600})
+	if c.workers < 2 {
+		t.Fatalf("helper set sized to %d workers on %d CPUs", c.workers, runtime.NumCPU())
+	}
+	if n := waitGoroutines("select", helperFrame, before+c.workers-1) - before; n != c.workers-1 {
+		t.Fatalf("%d helpers parked before the first read, want %d", n, c.workers-1)
+	}
+	c.Close()
+	if n := countGoroutines("", helperFrame) - before; n != 0 {
+		t.Errorf("%d helpers left after Close", n)
 	}
 }

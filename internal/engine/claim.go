@@ -75,64 +75,48 @@ func (j *claimJob) runSpawned(workers int) {
 // busy with other jobs — or already released by close — simply does not
 // join, and the caller drains the difference itself.
 type helperSet struct {
-	workers int
-	work    chan *claimJob
-	quit    chan struct{}
-	// lifeMu serializes spawning against close: the WaitGroup Adds in
-	// spawn must never race close's Wait, and a spawn attempt landing
-	// after close must be a no-op instead of leaking goroutines.
-	lifeMu  sync.Mutex
-	spawned bool
-	closed  bool
-	helpers sync.WaitGroup
+	workers   int
+	work      chan *claimJob
+	quit      chan struct{}
+	closeOnce sync.Once
+	helpers   sync.WaitGroup
 }
 
+// init starts the workers-1 helpers, parked until a job arrives; they
+// live until close. Starting them here, not on first use, is what lets
+// the first job find them parked.
 func (h *helperSet) init(workers int) {
 	h.workers = workers
 	h.work = make(chan *claimJob)
 	h.quit = make(chan struct{})
+	for i := 0; i < workers-1; i++ {
+		h.helpers.Add(1)
+		go h.serve()
+	}
+}
+
+// serve is one helper: park, join a handed-over job, drain it, park again.
+func (h *helperSet) serve() {
+	defer h.helpers.Done()
+	for {
+		select {
+		case <-h.quit:
+			return
+		case j := <-h.work:
+			j.drain()
+			j.joined.Done()
+		}
+	}
 }
 
 // close releases the helpers and returns once every one has exited. A
 // job in flight still completes — its caller always drains — so close
 // waits for the helpers inside it. Idempotent and safe concurrently with
-// running jobs: lifeMu orders it against spawn, so either the helpers
-// were fully spawned before the Wait (and the closed quit channel
-// releases them) or the spawn attempt observes closed and starts nothing.
+// running jobs: after close, handoffs find no helper and the caller
+// drains alone.
 func (h *helperSet) close() {
-	h.lifeMu.Lock()
-	if !h.closed {
-		h.closed = true
-		close(h.quit)
-	}
-	h.lifeMu.Unlock()
+	h.closeOnce.Do(func() { close(h.quit) })
 	h.helpers.Wait()
-}
-
-// spawn starts the helpers on first use; they live until close. After
-// close it is a no-op.
-func (h *helperSet) spawn() {
-	h.lifeMu.Lock()
-	defer h.lifeMu.Unlock()
-	if h.spawned || h.closed {
-		return
-	}
-	h.spawned = true
-	for i := 0; i < h.workers-1; i++ {
-		h.helpers.Add(1)
-		go func() {
-			defer h.helpers.Done()
-			for {
-				select {
-				case <-h.quit:
-					return
-				case j := <-h.work:
-					j.drain()
-					j.joined.Done()
-				}
-			}
-		}()
-	}
 }
 
 // run drains j on the caller and on up to workers-1 idle helpers, never
@@ -141,7 +125,6 @@ func (h *helperSet) spawn() {
 func (h *helperSet) run(j *claimJob) {
 	if h != nil && h.workers > 1 && j.n > 1 {
 		extra := min(int64(h.workers-1), j.n-1)
-		h.spawn()
 		for ; extra > 0; extra-- {
 			j.joined.Add(1)
 			select {

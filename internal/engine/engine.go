@@ -1,7 +1,7 @@
-// Package engine unifies SquiggleFilter's classification back-ends behind
-// one Backend interface and schedules reads across them concurrently.
+// Package engine unifies SquiggleFilter's classification back-ends as one
+// Backend type and schedules reads across them concurrently.
 //
-// Three back-ends implement the interface:
+// Three constructors program a Backend:
 //
 //   - the pure-software integer sDTW filter (NewSoftware, internal/sdtw);
 //   - the cycle-accurate systolic tile (NewHardware, internal/hw), which
@@ -62,28 +62,6 @@ type Result struct {
 	Stats Stats
 }
 
-// Backend classifies staged read prefixes against the reference it was
-// programmed with. A back-end is programmed once (reference + IntConfig)
-// and classifies many reads; whether one instance may be shared between
-// goroutines is implementation-specific (the software and GPU back-ends
-// are safe for concurrent use; the hardware tile is not — Pipeline grants
-// callers exclusive instances either way).
-type Backend interface {
-	// Name identifies the back-end kind ("sw", "hw", "gpu").
-	Name() string
-	// RefLen returns the programmed reference length in samples.
-	RefLen() int
-	// Classify runs the staged filter over a read's raw 10-bit samples.
-	Classify(samples []int16, stages []sdtw.Stage) Result
-	// NewSession starts an incremental classification of one read under
-	// the given schedule: feed raw signal in arbitrary chunks, get the
-	// verdict at the first crossed stage boundary that decides. Sessions
-	// of a non-concurrency-safe back-end (the hardware tile) share that
-	// instance's state only while Feed is running DP work; interleave
-	// them from one goroutine or use Pipeline.NewSession.
-	NewSession(stages []sdtw.Stage) (*Session, error)
-}
-
 // ValidateStages checks a stage schedule: non-empty, positive and strictly
 // increasing prefix lengths (delegates to the single validator in sdtw).
 func ValidateStages(stages []sdtw.Stage) error {
@@ -92,7 +70,7 @@ func ValidateStages(stages []sdtw.Stage) error {
 
 // kernel is the per-chunk DP extension a back-end contributes. Everything
 // else — stage chunking, normalization, thresholds, decisions — is shared
-// in stager, which is what makes verdicts bit-identical across back-ends.
+// in Backend, which is what makes verdicts bit-identical across back-ends.
 // Every kernel extends the same int32 row (sdtw.Row) at the programmed
 // reference length, which is what the accelerator's last PE parks in DRAM
 // between stages.
@@ -112,10 +90,14 @@ type kernel interface {
 	serviceTime(chunkSamples int) time.Duration
 }
 
-// stager implements Backend over a kernel: the single normalization and
-// staging policy, with sync.Pool-reused DP rows and staging buffers so the
-// hot loop does not allocate per read.
-type stager struct {
+// Backend classifies staged read prefixes against the reference it was
+// programmed with: the single normalization and staging policy over a
+// back-end's kernel, with sync.Pool-reused DP rows and staging buffers so
+// the hot loop does not allocate per read. A back-end is programmed once
+// (reference + IntConfig) and classifies many reads. The software and GPU
+// back-ends are safe for concurrent use; the hardware tile is not —
+// Pipeline grants callers exclusive instances either way.
+type Backend struct {
 	k kernel
 	// shardWidth, when positive, selects the serial cache-blocked sharded
 	// execution path (NewSoftwareSharded): each chunk walks the row one
@@ -125,53 +107,62 @@ type stager struct {
 	pool       sync.Pool
 }
 
-func newStager(k kernel) *stager {
-	s := &stager{k: k}
-	s.pool.New = func() any { return newSessionState(sdtw.NewRow(k.refLen())) }
-	return s
+func newBackend(k kernel) *Backend {
+	b := &Backend{k: k}
+	b.pool.New = func() any { return newSessionState(sdtw.NewRow(k.refLen())) }
+	return b
 }
 
-func (s *stager) Name() string { return s.k.name() }
-func (s *stager) RefLen() int  { return s.k.refLen() }
+// Name identifies the back-end kind ("sw", "hw", "gpu").
+func (b *Backend) Name() string { return b.k.name() }
+
+// RefLen returns the programmed reference length in samples.
+func (b *Backend) RefLen() int { return b.k.refLen() }
 
 // newSession wires a Session to this back-end's kernel and row pool. The
 // schedule must already be validated. Direct back-end sessions never wait
 // on a scheduler, so their extend hook is infallible.
-func (s *stager) newSession(stages []sdtw.Stage) *Session {
-	ps := s.pool.Get().(*sessionState)
+func (b *Backend) newSession(stages []sdtw.Stage) *Session {
+	ps := b.pool.Get().(*sessionState)
 	row := ps.row
 	row.Reset()
 	extend := func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
-		return s.k.extend(row, chunk, st), nil
+		return b.k.extend(row, chunk, st), nil
 	}
-	if s.shardWidth > 0 {
-		plan := s.k.(*swKernel).shardRow(row, s.shardWidth)
+	if b.shardWidth > 0 {
+		plan := b.k.(*swKernel).shardRow(row, b.shardWidth)
 		extend = func(_ *sdtw.Row, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
 			return plan.extend(chunk), nil
 		}
 	}
-	return newSession(stages, ps, extend, func(ps *sessionState) { s.pool.Put(ps) })
+	return newSession(stages, ps, extend, func(ps *sessionState) { b.pool.Put(ps) })
 }
 
-// NewSession starts an incremental classification of one read.
-func (s *stager) NewSession(stages []sdtw.Stage) (*Session, error) {
+// NewSession starts an incremental classification of one read under the
+// given schedule: feed raw signal in arbitrary chunks, get the verdict at
+// the first crossed stage boundary that decides. It errors only on an
+// invalid schedule. Sessions of a non-concurrency-safe back-end (the
+// hardware tile) share that instance's state only while Feed is running
+// DP work; interleave them from one goroutine or use Pipeline.NewSession.
+func (b *Backend) NewSession(stages []sdtw.Stage) (*Session, error) {
 	if err := sdtw.ValidateStages(stages); err != nil {
 		return nil, err
 	}
-	return s.newSession(stages), nil
+	return b.newSession(stages), nil
 }
 
-// Classify runs the staged filter: each stage normalizes only the newly
-// arrived chunk as one window (the hardware normalizer works on fixed
-// windows as samples stream in) and extends the saved DP row, so no DP work
-// is repeated across stages. A read shorter than the first stage boundary
-// is decided with whatever signal exists; a zero-length read yields the
-// Continue verdict (no signal, no decision) on every back-end.
+// Classify runs the staged filter over a read's raw 10-bit samples: each
+// stage normalizes only the newly arrived chunk as one window (the
+// hardware normalizer works on fixed windows as samples stream in) and
+// extends the saved DP row, so no DP work is repeated across stages. A
+// read shorter than the first stage boundary is decided with whatever
+// signal exists; a zero-length read yields the Continue verdict (no
+// signal, no decision) on every back-end.
 //
 // Classify is a Session fed the whole read at once, which is what makes
 // streamed and one-shot classification bit-identical by construction.
-func (s *stager) Classify(samples []int16, stages []sdtw.Stage) Result {
-	sess := s.newSession(stages)
+func (b *Backend) Classify(samples []int16, stages []sdtw.Stage) Result {
+	sess := b.newSession(stages)
 	sess.Feed(samples)
 	return sess.Finalize()
 }

@@ -38,7 +38,7 @@ func randomRead(rng *rand.Rand, n int) []int16 {
 	return read
 }
 
-func testBackends(t *testing.T, ref []int8, cfg sdtw.IntConfig) map[string]Backend {
+func testBackends(t *testing.T, ref []int8, cfg sdtw.IntConfig) map[string]*Backend {
 	t.Helper()
 	sw, err := NewSoftware(ref, cfg)
 	if err != nil {
@@ -52,7 +52,7 @@ func testBackends(t *testing.T, ref []int8, cfg sdtw.IntConfig) map[string]Backe
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Backend{"sw": sw, "hw": hwB, "gpu": gpuB}
+	return map[string]*Backend{"sw": sw, "hw": hwB, "gpu": gpuB}
 }
 
 // TestBackendParity is the acceptance property: over random reads and
@@ -179,7 +179,7 @@ func TestValidateStages(t *testing.T) {
 
 func newHWPipeline(t *testing.T, ref []int8, cfg sdtw.IntConfig, workers int, stages []sdtw.Stage) *Pipeline {
 	t.Helper()
-	p, err := NewPipeline(func() (Backend, error) { return NewHardware(ref, cfg) }, workers, stages)
+	p, err := NewPipeline(func() (*Backend, error) { return NewHardware(ref, cfg) }, workers, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,48 +250,12 @@ func TestPipelineConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestPipelineStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cfg := sdtw.DefaultIntConfig()
-	ref := randomRef(rng, 1500)
-	stages := []sdtw.Stage{{PrefixSamples: 800, Threshold: 800 * 3}}
-	pipe := newHWPipeline(t, ref, cfg, 2, stages)
-
-	const n = 16
-	reads := make([][]int16, n)
-	want := make([]Result, n)
-	for i := range reads {
-		reads[i] = randomRead(rng, 900)
-		want[i] = pipe.Classify(reads[i])
-	}
-	in := make(chan Job)
-	out := make(chan StreamResult, n)
-	go pipe.ClassifyStream(context.Background(), in, out)
-	go func() {
-		for i, r := range reads {
-			in <- Job{ID: i, Samples: r}
-		}
-		close(in)
-	}()
-	seen := 0
-	for sr := range out {
-		if sr.Decision != want[sr.ID].Decision || sr.Cost != want[sr.ID].Cost {
-			t.Errorf("job %d: stream verdict {%v %d} != serial {%v %d}",
-				sr.ID, sr.Decision, sr.Cost, want[sr.ID].Decision, want[sr.ID].Cost)
-		}
-		seen++
-	}
-	if seen != n {
-		t.Errorf("stream emitted %d results, want %d", seen, n)
-	}
-}
-
 func TestPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cfg := sdtw.DefaultIntConfig()
 	stages := []sdtw.Stage{{PrefixSamples: 1000, Threshold: 1 << 30}} // accept-all: rank by cost
 	newTarget := func(name string, ref []int8) Target {
-		p, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
+		p, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +294,7 @@ func TestPanel(t *testing.T) {
 
 	// All-reject schedule yields Best -1.
 	rejStages := []sdtw.Stage{{PrefixSamples: 1000, Threshold: -1 << 30}}
-	pRej, err := NewPipeline(func() (Backend, error) { return NewSoftware(refA, cfg) }, 1, rejStages)
+	pRej, err := NewPipeline(func() (*Backend, error) { return NewSoftware(refA, cfg) }, 1, rejStages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +311,10 @@ func TestPipelineValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ref := randomRef(rng, 500)
 	cfg := sdtw.DefaultIntConfig()
-	if _, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 2, nil); err == nil {
+	if _, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 2, nil); err == nil {
 		t.Error("empty schedule accepted")
 	}
-	if _, err := NewPipeline(func() (Backend, error) { return NewSoftware(nil, cfg) }, 2,
+	if _, err := NewPipeline(func() (*Backend, error) { return NewSoftware(nil, cfg) }, 2,
 		[]sdtw.Stage{{PrefixSamples: 100, Threshold: 1}}); err == nil {
 		t.Error("failing factory not surfaced")
 	}

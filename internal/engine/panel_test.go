@@ -22,7 +22,7 @@ func swPanel(t testing.TB, targets []Target) *Panel {
 
 func swTarget(t testing.TB, name string, ref []int8, cfg sdtw.IntConfig, instances int, stages []sdtw.Stage) Target {
 	t.Helper()
-	p, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, instances, stages)
+	p, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, instances, stages)
 	if err != nil {
 		t.Fatal(err)
 	}

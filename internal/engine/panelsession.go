@@ -77,8 +77,7 @@ type PanelSession struct {
 }
 
 // NewSession starts an incremental classification of one read against
-// every target. It errors when a target's pipeline cannot host sessions
-// (back-ends this package did not build) or the prune policy is invalid.
+// every target. It errors only when the prune policy is invalid.
 func (p *Panel) NewSession(prune PrunePolicy) (*PanelSession, error) {
 	return p.NewSessionContext(context.Background(), prune)
 }
@@ -90,16 +89,17 @@ func (p *Panel) NewSession(prune PrunePolicy) (*PanelSession, error) {
 // cascade threads its session context through here so the exact tier
 // honors the same cancellation as the coarse pass.
 func (p *Panel) NewSessionContext(ctx context.Context, prune PrunePolicy) (*PanelSession, error) {
-	return p.newSession(ctx, prune, nil)
-}
-
-// newSession opens a panel session whose deliveries the given helper set
-// may join (nil keeps every delivery on the caller).
-func (p *Panel) newSession(ctx context.Context, prune PrunePolicy, helpers *helperSet) (*PanelSession, error) {
 	if err := prune.validate(); err != nil {
 		return nil, err
 	}
-	n := len(p.targets)
+	return newPanelSession(ctx, p.targets, prune, nil), nil
+}
+
+// newPanelSession opens a session over targets whose deliveries the given
+// helper set may join (nil keeps every delivery on the caller). The prune
+// policy must already be validated.
+func newPanelSession(ctx context.Context, targets []Target, prune PrunePolicy, helpers *helperSet) *PanelSession {
+	n := len(targets)
 	ps := &PanelSession{
 		prune:   prune,
 		sess:    make([]*Session, n),
@@ -111,18 +111,11 @@ func (p *Panel) newSession(ctx context.Context, prune PrunePolicy, helpers *help
 		order:   make([]int, 0, n),
 	}
 	ps.job.body = ps
-	for i, t := range p.targets {
-		s, err := t.Pipeline.NewSessionContext(ctx)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				ps.sess[j].Abandon()
-			}
-			return nil, fmt.Errorf("engine: panel target %d (%q): %w", i, t.Name, err)
-		}
-		ps.sess[i] = s
+	for i, t := range targets {
+		ps.sess[i] = t.Pipeline.NewSessionContext(ctx)
 		ps.per[i] = Result{Decision: sdtw.Continue, EndPos: -1}
 	}
-	return ps, nil
+	return ps
 }
 
 // Feed delivers a chunk of raw samples to every still-live target and

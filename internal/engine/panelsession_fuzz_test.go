@@ -51,10 +51,7 @@ func FuzzPanelSessionFeed(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := panel.newSession(context.Background(), pp, &h)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shared := newPanelSession(context.Background(), panel.targets, pp, &h)
 		feed := func(chunk []int16) {
 			wantR, wantDone := serial.Feed(chunk)
 			gotR, gotDone := shared.Feed(chunk)

@@ -13,26 +13,19 @@ import (
 
 // Pipeline schedules reads across a pool of back-end instances — the
 // software analogue of the accelerator's NumTiles independent tiles. All
-// concurrency paths — one-shot Classify, ClassifyBatch, ClassifyStream,
-// live Sessions and PanelSessions, and the sharded (shard, block)
-// wavefront — dispatch their DP work through one earliest-deadline-first
-// scheduler (internal/engine/sched): a task borrows an instance
+// concurrency paths — one-shot Classify, ClassifyBatch, live Sessions and
+// PanelSessions, and the sharded (shard, block) wavefront — dispatch
+// their DP work through one earliest-deadline-first scheduler
+// (internal/engine/sched): a task borrows an instance
 // exclusively for the duration of one pure-compute extension and never
 // blocks while holding it, so any mix of workloads shares even a
 // 1-instance pool without deadlock.
 type Pipeline struct {
 	stages []sdtw.Stage
 	sch    *sched.Scheduler
-	insts  []Backend
+	insts  []*Backend
 	n      int
 	refLen int
-	// sessionable records whether every instance is an engine-built
-	// stager, whose kernel NewSession can drive incrementally.
-	sessionable bool
-	// svc is the per-stage-chunk service-time model of the instances'
-	// kernel (nil for back-ends this package did not build). It prices
-	// scheduler tasks so utilization and deadlines are meaningful.
-	svc func(chunkSamples int) time.Duration
 	// rows pools sessions' DP rows and staging buffers, which outlive any
 	// one instance borrow (the session parks its row like the hardware
 	// parks rows in DRAM between stages).
@@ -59,16 +52,15 @@ const shardBlockSamples = 512
 
 // NewPipeline builds instances back-ends via factory and programs them all
 // with the same stage schedule. instances <= 0 means 1.
-func NewPipeline(factory func() (Backend, error), instances int, stages []sdtw.Stage) (*Pipeline, error) {
+func NewPipeline(factory func() (*Backend, error), instances int, stages []sdtw.Stage) (*Pipeline, error) {
 	if err := ValidateStages(stages); err != nil {
 		return nil, err
 	}
 	if instances <= 0 {
 		instances = 1
 	}
-	insts := make([]Backend, instances)
+	insts := make([]*Backend, instances)
 	refLen := 0
-	sessionable := true
 	for i := 0; i < instances; i++ {
 		b, err := factory()
 		if err != nil {
@@ -79,22 +71,15 @@ func NewPipeline(factory func() (Backend, error), instances int, stages []sdtw.S
 		} else if b.RefLen() != refLen {
 			return nil, fmt.Errorf("engine: backend instance %d has reference length %d, want %d", i, b.RefLen(), refLen)
 		}
-		if _, ok := b.(*stager); !ok {
-			sessionable = false
-		}
 		insts[i] = b
 	}
 	p := &Pipeline{
-		stages:      stages,
-		sch:         sched.New(instances),
-		insts:       insts,
-		n:           instances,
-		refLen:      refLen,
-		sessionable: sessionable,
-		shards:      1,
-	}
-	if st, ok := insts[0].(*stager); ok {
-		p.svc = st.k.serviceTime
+		stages: stages,
+		sch:    sched.New(instances),
+		insts:  insts,
+		n:      instances,
+		refLen: refLen,
+		shards: 1,
 	}
 	p.rows.New = func() any { return newSessionState(sdtw.NewRow(refLen)) }
 	p.halos.New = func() any { return new(sdtw.Halo) }
@@ -108,9 +93,9 @@ func NewPipeline(factory func() (Backend, error), instances int, stages []sdtw.S
 // throughput scaling with it. shards <= 1 restores the unsharded path.
 //
 // It errors when the pipeline's back-ends cannot extend reference shards —
-// only the engine-built software back-end can; the hardware model shards
-// across tiles inside the device instead (NewHardwareTiles). Configure
-// once before classifying; SetShards is not safe to call concurrently with
+// only the software back-end can; the hardware model shards across tiles
+// inside the device instead (NewHardwareTiles). Configure once before
+// classifying; SetShards is not safe to call concurrently with
 // classification. Sharded and unsharded verdicts are bit-identical by
 // construction (property-tested in shard_test.go).
 func (p *Pipeline) SetShards(shards int) error {
@@ -118,11 +103,8 @@ func (p *Pipeline) SetShards(shards int) error {
 		p.shards, p.shardWidth = 1, 0
 		return nil
 	}
-	if !p.sessionable {
-		return fmt.Errorf("engine: pipeline back-ends do not support incremental sessions")
-	}
 	// Every instance comes from the same factory; inspecting one suffices.
-	if _, ok := p.insts[0].(*stager).k.(*swKernel); !ok {
+	if _, ok := p.insts[0].k.(*swKernel); !ok {
 		return fmt.Errorf("engine: %s back-end cannot extend reference shards (hw shards across tiles via NewHardwareTiles instead)", p.insts[0].Name())
 	}
 	width := sdtw.ShardWidth(p.refLen, shards)
@@ -167,20 +149,21 @@ func (p *Pipeline) Stages() []sdtw.Stage {
 // ServiceTime is the instances' modeled cost of extending a DP row by one
 // normalized stage chunk of chunkSamples samples: exact from the cycle
 // ledger for hw, from the calibrated device envelope for gpu, and
-// self-calibrated for sw. It returns 0 for back-ends this package did not
-// build. The virtual-time flow cell (internal/minion) prices its tasks
-// with this model.
+// self-calibrated for sw. It prices scheduler tasks so utilization and
+// deadlines are meaningful, and the virtual-time flow cell
+// (internal/minion) prices its tasks with it.
 func (p *Pipeline) ServiceTime(chunkSamples int) time.Duration {
-	if p.svc == nil || chunkSamples <= 0 {
+	if chunkSamples <= 0 {
 		return 0
 	}
-	return p.svc(chunkSamples)
+	// Every instance comes from the same factory; one kernel prices all.
+	return p.insts[0].k.serviceTime(chunkSamples)
 }
 
 // readServiceTime prices a whole staged read: the sum of its per-stage
 // chunk extensions under the pipeline's schedule.
 func (p *Pipeline) readServiceTime(totalSamples int) time.Duration {
-	if p.svc == nil || totalSamples <= 0 {
+	if totalSamples <= 0 {
 		return 0
 	}
 	var total time.Duration
@@ -193,7 +176,7 @@ func (p *Pipeline) readServiceTime(totalSamples int) time.Duration {
 		if totalSamples < st.PrefixSamples {
 			n = totalSamples - prev
 		}
-		total += p.svc(n)
+		total += p.ServiceTime(n)
 		prev += n
 		if totalSamples <= st.PrefixSamples {
 			return total
@@ -217,7 +200,7 @@ func (p *Pipeline) task(cost time.Duration) sched.Task {
 }
 
 // do borrows an instance through the scheduler for one pure-compute call.
-func (p *Pipeline) do(ctx context.Context, cost time.Duration, fn func(Backend)) error {
+func (p *Pipeline) do(ctx context.Context, cost time.Duration, fn func(*Backend)) error {
 	idx, err := p.sch.Acquire(ctx, p.task(cost))
 	if err != nil {
 		return err
@@ -234,10 +217,7 @@ func (p *Pipeline) do(ctx context.Context, cost time.Duration, fn func(Backend))
 // arbitrarily many live channels can hold open sessions over n instances.
 // Sessions are safe to drive from concurrent goroutines (one goroutine
 // per session); the scheduler serializes the DP work.
-//
-// It errors when the pipeline was built over back-ends this package did
-// not construct (their kernels cannot be driven incrementally).
-func (p *Pipeline) NewSession() (*Session, error) {
+func (p *Pipeline) NewSession() *Session {
 	return p.NewSessionContext(context.Background())
 }
 
@@ -245,25 +225,22 @@ func (p *Pipeline) NewSession() (*Session, error) {
 // an instance returns when ctx is cancelled (the session abandons itself
 // and Session.Err reports the cause), so a stuck or shut-down consumer
 // cannot leak a blocked channel goroutine.
-func (p *Pipeline) NewSessionContext(ctx context.Context) (*Session, error) {
-	if !p.sessionable {
-		return nil, fmt.Errorf("engine: pipeline back-ends do not support incremental sessions")
-	}
+func (p *Pipeline) NewSessionContext(ctx context.Context) *Session {
 	ps := p.rows.Get().(*sessionState)
 	row := ps.row
 	row.Reset()
 	extend := func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		var r sdtw.IntResult
-		err := p.do(ctx, p.ServiceTime(len(chunk)), func(b Backend) {
-			r = b.(*stager).k.extend(row, chunk, st)
+		err := p.do(ctx, p.ServiceTime(len(chunk)), func(b *Backend) {
+			r = b.k.extend(row, chunk, st)
 		})
 		return r, err
 	}
 	if p.shardWidth > 0 {
-		plan := p.insts[0].(*stager).k.(*swKernel).shardRow(row, p.shardWidth)
+		plan := p.insts[0].k.(*swKernel).shardRow(row, p.shardWidth)
 		extend = p.shardedExtend(ctx, plan)
 	}
-	return newSession(p.stages, ps, extend, func(ps *sessionState) { p.rows.Put(ps) }), nil
+	return newSession(p.stages, ps, extend, func(ps *sessionState) { p.rows.Put(ps) })
 }
 
 // shardedExtend builds a session extend hook that schedules one chunk's
@@ -379,19 +356,16 @@ func (p *Pipeline) Classify(samples []int16) Result {
 }
 
 // classify is Classify under a context: the single read path every
-// concurrent entry point (batch, stream) funnels through.
+// concurrent entry point funnels through. Its only error is ctx's.
 func (p *Pipeline) classify(ctx context.Context, samples []int16) (Result, error) {
 	if p.shardWidth > 0 {
-		sess, err := p.NewSessionContext(ctx)
-		if err != nil {
-			return Result{Decision: sdtw.Continue, EndPos: -1}, err
-		}
+		sess := p.NewSessionContext(ctx)
 		sess.Feed(samples)
 		res := sess.Finalize()
 		return res, sess.Err()
 	}
 	var res Result
-	err := p.do(ctx, p.readServiceTime(len(samples)), func(b Backend) {
+	err := p.do(ctx, p.readServiceTime(len(samples)), func(b *Backend) {
 		res = b.Classify(samples, p.stages)
 	})
 	return res, err
@@ -430,59 +404,4 @@ func (p *Pipeline) ClassifyBatch(ctx context.Context, reads [][]int16) ([]Result
 		}
 	})
 	return out, ctx.Err()
-}
-
-// Job tags a read for streaming classification.
-type Job struct {
-	ID      int
-	Samples []int16
-}
-
-// StreamResult pairs a job's ID with its classification.
-type StreamResult struct {
-	ID int
-	Result
-}
-
-// ClassifyStream consumes jobs from in until it closes, classifying them
-// across the instance pool and emitting results on out in completion order
-// (not input order — use Job.ID to correlate). It closes out when done and
-// blocks until then; run it in its own goroutine to overlap with the
-// producer, as a sequencer's Read Until loop would. On context
-// cancellation it stops consuming jobs, drops in-flight results rather
-// than blocking on a stuck out consumer, closes out, and returns the
-// context's error — so no worker goroutine can leak.
-func (p *Pipeline) ClassifyStream(ctx context.Context, in <-chan Job, out chan<- StreamResult) error {
-	workers := 2 * p.n
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				var j Job
-				var ok bool
-				select {
-				case <-ctx.Done():
-					return
-				case j, ok = <-in:
-					if !ok {
-						return
-					}
-				}
-				r, err := p.classify(ctx, j.Samples)
-				if err != nil {
-					return
-				}
-				select {
-				case out <- StreamResult{ID: j.ID, Result: r}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(out)
-	return ctx.Err()
 }

@@ -13,7 +13,7 @@ import (
 
 // TestSchedulerVerdictParity is the refactor's acceptance property: with
 // every concurrency path now dispatching through the unified EDF
-// scheduler, batch, stream, session, and sharded execution must all
+// scheduler, batch, session, and sharded execution must all
 // produce verdicts bit-identical to serial one-instance classification —
 // the pre-refactor semantics — on random workloads, with and without
 // real-time deadlines.
@@ -25,7 +25,7 @@ func TestSchedulerVerdictParity(t *testing.T) {
 		stages := randStages(rng)
 		instances := 1 + rng.Intn(4)
 		shards := 1 + rng.Intn(3)
-		pipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, instances, stages)
+		pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, instances, stages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,29 +57,9 @@ func TestSchedulerVerdictParity(t *testing.T) {
 		for i, got := range batch {
 			requireResultEqual(t, "scheduler ClassifyBatch", got, want[i])
 		}
-		in := make(chan Job)
-		out := make(chan StreamResult, len(reads))
-		go pipe.ClassifyStream(context.Background(), in, out)
-		go func() {
-			for i, r := range reads {
-				in <- Job{ID: i, Samples: r}
-			}
-			close(in)
-		}()
-		seen := 0
-		for sr := range out {
-			requireResultEqual(t, "scheduler ClassifyStream", sr.Result, want[sr.ID])
-			seen++
-		}
-		if seen != len(reads) {
-			t.Fatalf("stream emitted %d results, want %d", seen, len(reads))
-		}
 		chunk := []int{1, 37, 400, 4096}[rng.Intn(4)]
 		for i, r := range reads {
-			sess, err := pipe.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := pipe.NewSession()
 			got, _ := sess.Stream(r, chunk)
 			requireResultEqual(t, "scheduler Session.Stream", got, want[i])
 		}
@@ -102,7 +82,7 @@ func TestSchedulerMixedLoadOneInstance(t *testing.T) {
 	ref := randomRef(rng, 1800)
 	stages := []sdtw.Stage{{PrefixSamples: 700, Threshold: 700 * 3}}
 
-	sharded, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 1, stages)
+	sharded, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 1, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +90,7 @@ func TestSchedulerMixedLoadOneInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded.SetRealtime(50 * time.Millisecond)
-	plain, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 1, stages)
+	plain, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 1, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +153,7 @@ func TestClassifyBatchCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	ref := randomRef(rng, 1200)
 	stages := []sdtw.Stage{{PrefixSamples: 600, Threshold: 600 * 3}}
-	pipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, sdtw.DefaultIntConfig()) }, 2, stages)
+	pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, sdtw.DefaultIntConfig()) }, 2, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,43 +192,6 @@ func TestClassifyBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestClassifyStreamCancelled: a stuck consumer used to leak the worker
-// goroutines forever; with a cancelled context the stream must close out
-// and return even though nobody drains it.
-func TestClassifyStreamCancelled(t *testing.T) {
-	rng := rand.New(rand.NewSource(606))
-	ref := randomRef(rng, 1000)
-	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 3}}
-	pipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, sdtw.DefaultIntConfig()) }, 2, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan Job)
-	out := make(chan StreamResult) // unbuffered and never drained: the stuck consumer
-	errc := make(chan error, 1)
-	go func() { errc <- pipe.ClassifyStream(ctx, in, out) }()
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case in <- Job{ID: i, Samples: randomRead(rand.New(rand.NewSource(int64(i))), 800)}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	time.Sleep(20 * time.Millisecond) // let results pile up against the stuck consumer
-	cancel()
-	select {
-	case err := <-errc:
-		if err != context.Canceled {
-			t.Fatalf("cancelled stream returned %v, want context.Canceled", err)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("cancelled stream never returned — worker goroutines leaked")
-	}
-}
-
 // TestSessionFeedCancelled: a session whose context is cancelled while
 // its DP waits for an instance abandons itself — Feed reports done,
 // Err records the cause, and the held instance pool stays usable.
@@ -256,7 +199,7 @@ func TestSessionFeedCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	ref := randomRef(rng, 1500)
 	stages := []sdtw.Stage{{PrefixSamples: 400, Threshold: 400 * 3}}
-	pipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, sdtw.DefaultIntConfig()) }, 1, stages)
+	pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, sdtw.DefaultIntConfig()) }, 1, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +208,7 @@ func TestSessionFeedCancelled(t *testing.T) {
 	hold := make(chan struct{})
 	held := make(chan struct{})
 	go func() {
-		_ = pipe.do(context.Background(), 0, func(Backend) {
+		_ = pipe.do(context.Background(), 0, func(*Backend) {
 			close(held)
 			<-hold
 		})
@@ -273,10 +216,7 @@ func TestSessionFeedCancelled(t *testing.T) {
 	<-held
 
 	ctx, cancel := context.WithCancel(context.Background())
-	sess, err := pipe.NewSessionContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := pipe.NewSessionContext(ctx)
 	read := randomRead(rng, 1000)
 	fed := make(chan struct{})
 	go func() {
@@ -300,16 +240,13 @@ func TestSessionFeedCancelled(t *testing.T) {
 	}
 	close(hold)
 	// Pool usable afterwards; an uncancelled session still works.
-	s2, err := pipe.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := pipe.NewSession()
 	if got, _ := s2.Stream(read, 128); len(got.PerStage) == 0 {
 		t.Fatal("pipeline dead after session cancellation")
 	}
 }
 
-// TestServiceTimeModels: every engine-built kernel prices its chunks —
+// TestServiceTimeModels: every kernel prices its chunks —
 // hw exactly matching the cycle ledger its extend accumulates, gpu
 // exactly matching the latency its extend accumulates, sw positive and
 // monotone in chunk size.
@@ -322,18 +259,17 @@ func TestServiceTimeModels(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		build func() (Backend, error)
+		build func() (*Backend, error)
 	}{
-		{"hw", func() (Backend, error) { return NewHardware(ref, cfg) }},
-		{"gpu", func() (Backend, error) { return NewGPU(ref, cfg, gpu.TitanXP()) }},
+		{"hw", func() (*Backend, error) { return NewHardware(ref, cfg) }},
+		{"gpu", func() (*Backend, error) { return NewGPU(ref, cfg, gpu.TitanXP()) }},
 	} {
 		b, err := tc.build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := b.Classify(read, stages)
-		st := b.(*stager)
-		want := st.k.serviceTime(2300)
+		want := b.k.serviceTime(2300)
 		if res.Stats.Latency != want {
 			t.Errorf("%s: measured stage latency %v != serviceTime model %v", tc.name, res.Stats.Latency, want)
 		}
@@ -343,13 +279,12 @@ func TestServiceTimeModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swst := sw.(*stager)
-	small, big := swst.k.serviceTime(100), swst.k.serviceTime(2000)
+	small, big := sw.k.serviceTime(100), sw.k.serviceTime(2000)
 	if small <= 0 || big <= small {
 		t.Errorf("sw self-calibrated service time not positive/monotone: %v, %v", small, big)
 	}
 
-	pipe, err := NewPipeline(func() (Backend, error) { return NewHardware(ref, cfg) }, 1, stages)
+	pipe, err := NewPipeline(func() (*Backend, error) { return NewHardware(ref, cfg) }, 1, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,5 +299,5 @@ func b2ServiceTime(t *testing.T, ref []int8, cfg sdtw.IntConfig, n int) time.Dur
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.(*stager).k.serviceTime(n)
+	return b.k.serviceTime(n)
 }

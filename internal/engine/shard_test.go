@@ -52,7 +52,7 @@ func TestShardedPipelineParity(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		stages := randStages(rng)
 		shards := []int{2, 3, 5, len(ref), len(ref) + 50}[rng.Intn(5)]
-		pipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 3, stages)
+		pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 3, stages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,10 +81,7 @@ func TestShardedPipelineParity(t *testing.T) {
 		// deliveries.
 		chunk := []int{1, 7, 173, 400, 4096}[rng.Intn(5)]
 		for i, r := range reads {
-			sess, err := pipe.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := pipe.NewSession()
 			got, _ := sess.Stream(r, chunk)
 			requireResultEqual(t, "sharded Session.Stream", got, want[i])
 		}
@@ -100,7 +97,7 @@ func TestShardedPipelineConcurrent(t *testing.T) {
 	cfg := sdtw.DefaultIntConfig()
 	ref := randomRef(rng, 1800)
 	stages := []sdtw.Stage{{PrefixSamples: 1100, Threshold: 1100 * 3}}
-	pipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
+	pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +237,7 @@ func TestPanelShardedParity(t *testing.T) {
 	cfg := sdtw.DefaultIntConfig()
 	stages := []sdtw.Stage{{PrefixSamples: 900, Threshold: 1 << 30}}
 	build := func(ref []int8, shards int) Target {
-		p, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
+		p, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +286,7 @@ func TestSetShardsValidation(t *testing.T) {
 	ref := randomRef(rng, 900)
 	stages := []sdtw.Stage{{PrefixSamples: 500, Threshold: 500 * 3}}
 
-	swPipe, err := NewPipeline(func() (Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
+	swPipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 2, stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +297,7 @@ func TestSetShardsValidation(t *testing.T) {
 		t.Errorf("SetShards(1): err=%v shards=%d", err, swPipe.Shards())
 	}
 
-	hwPipe, err := NewPipeline(func() (Backend, error) { return NewHardware(ref, cfg) }, 1, stages)
+	hwPipe, err := NewPipeline(func() (*Backend, error) { return NewHardware(ref, cfg) }, 1, stages)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func flowCascade(t *testing.T) *engine.Cascade {
 		}
 		coarse[i] = cr
 		stages := []sdtw.Stage{{PrefixSamples: 400, Threshold: 400 * 4}}
-		pipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+		pipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 			return engine.NewSoftware(ref, icfg)
 		}, 2, stages)
 		if err != nil {

@@ -35,9 +35,9 @@ func flowPool(t *testing.T, backend string) (targets, hosts []*squiggle.Read, pi
 	ref := pore.DefaultModel().BuildReference(target)
 	const prefixSamples = 400 // one chunk exactly
 	stages := []sdtw.Stage{{PrefixSamples: prefixSamples, Threshold: int32(prefixSamples * 3)}}
-	factory := func() (engine.Backend, error) { return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig()) }
+	factory := func() (*engine.Backend, error) { return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig()) }
 	if backend == "hw" {
-		factory = func() (engine.Backend, error) { return engine.NewHardware(ref.Int8, sdtw.DefaultIntConfig()) }
+		factory = func() (*engine.Backend, error) { return engine.NewHardware(ref.Int8, sdtw.DefaultIntConfig()) }
 	}
 	pipe, err = engine.NewPipeline(factory, 4, stages)
 	if err != nil {

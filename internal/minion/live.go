@@ -68,11 +68,6 @@ func SessionClassifier(pipe *engine.Pipeline, cfg Config, latencySec float64, ch
 	if chunkSamples <= 0 {
 		chunkSamples = DefaultChunkSamples
 	}
-	probe, err := pipe.NewSession()
-	if err != nil {
-		return nil, fmt.Errorf("minion: %w", err)
-	}
-	probe.Finalize() // return the probe's DP row to its pool
 	spb := cfg.SamplesPerBase
 	if spb <= 0 {
 		return nil, fmt.Errorf("minion: SamplesPerBase must be positive for signal-level classification")
@@ -82,11 +77,7 @@ func SessionClassifier(pipe *engine.Pipeline, cfg Config, latencySec float64, ch
 		if len(r.Samples) == 0 {
 			return Decision{}
 		}
-		sess, err := pipe.NewSession()
-		if err != nil {
-			return Decision{}
-		}
-		res, decided := sess.Stream(r.Samples, chunkSamples)
+		res, decided := pipe.NewSession().Stream(r.Samples, chunkSamples)
 		// A decision after the molecule already finished translocating
 		// cannot eject anything.
 		if !decided || res.Decision != sdtw.Reject {
@@ -111,11 +102,7 @@ func PoolRates(pipe *engine.Pipeline, reads []*squiggle.Read, chunkSamples int) 
 	}
 	var targets, hosts, keptT, keptH int
 	for _, r := range reads {
-		sess, serr := pipe.NewSession()
-		if serr != nil {
-			return 0, 0, fmt.Errorf("minion: %w", serr)
-		}
-		res, decided := sess.Stream(r.Samples, chunkSamples)
+		res, decided := pipe.NewSession().Stream(r.Samples, chunkSamples)
 		kept := !decided || res.Decision != sdtw.Reject
 		if r.Target {
 			targets++

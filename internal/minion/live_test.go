@@ -41,7 +41,7 @@ func livePoolSharded(t *testing.T, shards int) (targets, hosts []*squiggle.Read,
 	// not about filter quality.
 	prefixSamples = 250
 	stages := []sdtw.Stage{{PrefixSamples: prefixSamples, Threshold: int32(prefixSamples * 3)}}
-	pipe, err = engine.NewPipeline(func() (engine.Backend, error) {
+	pipe, err = engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig())
 	}, 2, stages)
 	if err != nil {

@@ -29,7 +29,7 @@ func panelPool(t *testing.T) (pools [][]*squiggle.Read, panel *engine.Panel) {
 	stages := []sdtw.Stage{{PrefixSamples: prefix, Threshold: int32(prefix * 3)}}
 	newTarget := func(g *genome.Genome) engine.Target {
 		ref := pore.DefaultModel().BuildReference(g)
-		p, err := engine.NewPipeline(func() (engine.Backend, error) {
+		p, err := engine.NewPipeline(func() (*engine.Backend, error) {
 			return engine.NewSoftware(ref.Int8, sdtw.DefaultIntConfig())
 		}, 2, stages)
 		if err != nil {

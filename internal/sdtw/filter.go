@@ -50,7 +50,13 @@ type Stage struct {
 	Threshold     int32
 }
 
-// Filter classifies raw read prefixes against a programmed reference.
+// Filter classifies raw read prefixes against a programmed reference. It
+// is the reference implementation, not a production path: Filter.Classify
+// is the plain stage loop — normalize each stage chunk, extend one DP row,
+// apply the threshold — that the engine's incremental sessions must match
+// bit for bit, and engine's TestBackendMatchesFilter pins every back-end
+// to it. CostAt serves the single-shot costs that threshold calibration
+// and Detector.Cost need.
 type Filter struct {
 	ref    []int8
 	cfg    IntConfig
@@ -85,12 +91,6 @@ func NewFilter(ref []int8, cfg IntConfig, stages []Stage) (*Filter, error) {
 		return nil, err
 	}
 	return &Filter{ref: ref, cfg: cfg, stages: stages}, nil
-}
-
-// SingleStage builds the common one-threshold filter at the paper's default
-// 2,000-sample prefix.
-func SingleStage(ref []int8, threshold int32) (*Filter, error) {
-	return NewFilter(ref, DefaultIntConfig(), []Stage{{PrefixSamples: 2000, Threshold: threshold}})
 }
 
 // RefLen returns the programmed reference length in samples.

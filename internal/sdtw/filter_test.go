@@ -31,20 +31,6 @@ func TestNewFilterValidation(t *testing.T) {
 	}
 }
 
-func TestSingleStageDefaults(t *testing.T) {
-	f, err := SingleStage([]int8{1, 2}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := f.Stages()
-	if len(st) != 1 || st[0].PrefixSamples != 2000 || st[0].Threshold != 100 {
-		t.Errorf("stages = %+v", st)
-	}
-	if f.RefLen() != 2 {
-		t.Errorf("RefLen = %d", f.RefLen())
-	}
-}
-
 // filterFixture builds a lambda-like reference filter plus matching and
 // non-matching reads. Uses a short genome to keep the DP fast.
 type filterFixture struct {

@@ -30,25 +30,25 @@ cd "$(dirname "$0")/.."
 #   that scoring each target on its own would (a Margin that overflows
 #   the cut included), cancelled or closed cascades unwind without
 #   leaking coarse workers, Close is safe racing in-flight passes, every
-#   pass takes one scheduler slot per lane group of 16 references, an
-#   exact tier that cannot open aborts the session with an error instead
-#   of a panic, and the flow cell prices one coarse pass per read.
+#   pass takes one scheduler slot per lane group of 16 references, and
+#   the flow cell prices one coarse pass per read.
 # - Exact-tier fan-out: survivors shared with the helper set unwind on
-#   cancel and on Close with no leaked goroutine, and the one-shot
-#   classify paths return their errors instead of panicking.
+#   cancel and on Close with no leaked goroutine, the helpers are parked
+#   before a cascade's first read, and a cancelled one-shot cascade read
+#   returns its error instead of panicking.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity TestAVX2StripsVEXOnly
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
 ./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
-./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestClassifyStreamCancelled TestSessionFeedCancelled
+./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestSessionFeedCancelled
 ./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder TestSchedulerAcquireCancelledContext
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
 . TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity
 ./internal/engine TestCascadeBoundedSurvivorIdentity TestCascadeSessionContextCancel TestCascadeCloseReleasesWorkers
-./internal/engine TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup TestCascadeExactTierOpenFailure
+./internal/engine TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup
 ./internal/minion TestFlowCellCoarseTier
-./internal/engine TestCascadeExactTierFanOutUnwinds TestCascadeClassifyContextError TestPipelineClassifySessionOpenError
+./internal/engine TestCascadeExactTierFanOutUnwinds TestCascadeClassifyContextError TestCascadeHelpersParkedBeforeFirstRead
 '
 
 missing=0

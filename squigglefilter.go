@@ -222,8 +222,8 @@ type Detector struct {
 	stages   []sdtw.Stage
 	realtime RealtimeConfig
 
-	sw     engine.Backend   // direct software path (concurrency-safe)
-	gpu    engine.Backend   // calibrated GPU baseline (concurrency-safe)
+	sw     *engine.Backend  // direct software path (concurrency-safe)
+	gpu    *engine.Backend  // calibrated GPU baseline (concurrency-safe)
 	swPipe *engine.Pipeline // batch worker pool over software instances
 	hwPipe *engine.Pipeline // hardware tiles; pipeline serializes access
 }
@@ -289,7 +289,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
 	}
-	swPipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+	swPipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewSoftware(ref.Int8, icfg)
 	}, workers, internalStages)
 	if err != nil {
@@ -312,7 +312,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 			hwTiles = 0 // fall back to auto when the reference needs more
 		}
 	}
-	hwPipe, err := engine.NewPipeline(func() (engine.Backend, error) {
+	hwPipe, err := engine.NewPipeline(func() (*engine.Backend, error) {
 		return engine.NewHardwareTiles(ref.Int8, icfg, hwTiles)
 	}, 1, internalStages)
 	if err != nil {
@@ -428,13 +428,7 @@ type Session struct {
 
 // NewSession starts an incremental classification of one read.
 func (d *Detector) NewSession() *Session {
-	s, err := d.swPipe.NewSession()
-	if err != nil {
-		// Unreachable: the detector's pipeline is engine-built and its
-		// schedule was validated at construction.
-		panic("squigglefilter: " + err.Error())
-	}
-	return &Session{s: s}
+	return &Session{s: d.swPipe.NewSession()}
 }
 
 // Feed appends a chunk of raw samples and returns the verdict so far plus
