@@ -22,25 +22,6 @@ func NewSoftware(ref []int8, cfg sdtw.IntConfig) (*Backend, error) {
 	return newBackend(&swKernel{ref: ref, cfg: cfg}), nil
 }
 
-// NewSoftwareSharded is NewSoftware with the serial cache-blocked sharded
-// execution path: every chunk extends the DP row one reference shard at a
-// time (width ceil(len(ref)/shards)), halos chaining between neighbours,
-// so a shard's working set stays cache-resident for the whole chunk.
-// Verdicts, costs, and rows are bit-identical to NewSoftware by
-// construction. shards <= 1 (or a single resulting shard) selects the
-// plain path. For intra-read *parallelism* over shards, configure the
-// sharing at the pipeline instead (Pipeline.SetShards).
-func NewSoftwareSharded(ref []int8, cfg sdtw.IntConfig, shards int) (*Backend, error) {
-	b, err := NewSoftware(ref, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if width := sdtw.ShardWidth(len(ref), shards); width < len(ref) {
-		b.shardWidth = width
-	}
-	return b, nil
-}
-
 // swKernel is the software kernel: sdtw's int32 row sweep, with its AVX2
 // strip where the CPU has one. It is the only kernel whose reference
 // dimension the engine partitions (shardRow): the hardware kernel shards
@@ -88,13 +69,6 @@ type swPlan struct {
 func (p swPlan) extendShard(k int, chunk []int8, haloIn, haloOut *sdtw.Halo) sdtw.IntResult {
 	lo, hi := p.sr.Bounds(k)
 	return sdtw.ExtendShard(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, haloIn, haloOut)
-}
-
-// extend runs one normalized chunk through every shard serially, left to
-// right — the cache-blocked path: each shard's working set stays
-// cache-resident for the whole chunk. It advances the backing row itself.
-func (p swPlan) extend(chunk []int8) sdtw.IntResult {
-	return p.sr.Extend(chunk, p.k.ref, p.k.cfg)
 }
 
 // calibrateCellSeconds times one chunk extension of a freshly built DP

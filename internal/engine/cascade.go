@@ -522,13 +522,18 @@ func (c *Cascade) NewSession(prune PrunePolicy) (*CascadeSession, error) {
 // session then reports the cause through Err and stays undecided, like
 // an abandoned read. A nil ctx means context.Background().
 func (c *Cascade) NewSessionContext(ctx context.Context, prune PrunePolicy) (*CascadeSession, error) {
-	if err := prune.validate(); err != nil {
+	if err := prune.Validate(); err != nil {
 		return nil, err
 	}
+	return c.newSession(ctx, prune), nil
+}
+
+// newSession opens a session under an already validated prune policy.
+func (c *Cascade) newSession(ctx context.Context, prune PrunePolicy) *CascadeSession {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &CascadeSession{c: c, ctx: ctx, prune: prune}, nil
+	return &CascadeSession{c: c, ctx: ctx, prune: prune}
 }
 
 // Feed delivers a chunk of raw samples and returns the panel verdict so
@@ -648,7 +653,7 @@ func (cs *CascadeSession) allSurvive() {
 
 // openInner opens the exact tier over the committed survivor set, sharing
 // the cascade's helper set so one delivery's survivors can run on several
-// goroutines. The prune policy was validated at NewSession.
+// goroutines. The prune policy was validated when the session opened.
 func (cs *CascadeSession) openInner() {
 	sub := make([]Target, len(cs.surv))
 	for j, i := range cs.surv {
@@ -681,17 +686,7 @@ func (cs *CascadeSession) Finalize() PanelResult {
 // feeds everything at once), stopping once decided, then finalizes — the
 // cascade twin of PanelSession.Stream.
 func (cs *CascadeSession) Stream(samples []int16, chunkSamples int) (PanelResult, bool) {
-	if chunkSamples <= 0 {
-		chunkSamples = len(samples)
-	}
-	done := false
-	for off := 0; off < len(samples) && !done; off += chunkSamples {
-		end := off + chunkSamples
-		if end > len(samples) {
-			end = len(samples)
-		}
-		done = cs.feedChunk(samples[off:end])
-	}
+	done := streamChunks(samples, chunkSamples, cs.feedChunk)
 	return cs.Finalize(), done
 }
 
@@ -804,13 +799,10 @@ func (cs *CascadeSession) snapshot() PanelResult {
 	return panelResult(per)
 }
 
-// Classify runs one read through the cascade in one shot.
+// Classify runs one read through the cascade in one shot: a session
+// under the zero prune policy, fed the whole read once.
 func (c *Cascade) Classify(samples []int16) PanelResult {
-	r, err := c.ClassifyContext(context.Background(), samples)
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic(err)
-	}
+	r, _ := c.newSession(context.Background(), PrunePolicy{}).Stream(samples, 0)
 	return r
 }
 
@@ -818,10 +810,7 @@ func (c *Cascade) Classify(samples []int16) PanelResult {
 // unwinds both tiers and returns the cause alongside the undecided
 // (all-Continue) verdict.
 func (c *Cascade) ClassifyContext(ctx context.Context, samples []int16) (PanelResult, error) {
-	cs, err := c.NewSessionContext(ctx, PrunePolicy{})
-	if err != nil {
-		return PanelResult{}, err
-	}
+	cs := c.newSession(ctx, PrunePolicy{})
 	r, _ := cs.Stream(samples, 0)
 	return r, cs.Err()
 }

@@ -21,11 +21,14 @@
 // Classify is a Session fed the whole read at once, so streamed and
 // one-shot verdicts are bit-identical by construction too.
 //
-// On top of Backend, Pipeline shards reads across a pool of back-end
-// instances — the software analogue of the accelerator's independent tiles
-// — multiplexes many live Sessions over those instances
-// (Pipeline.NewSession), and Panel classifies one read against several
-// reference genomes at once, picking the best-matching target.
+// On top of Backend, Pipeline schedules reads over a pool of back-end
+// instances — the software analogue of the accelerator's independent
+// tiles. A Session is the only way a pipeline runs a read: Classify,
+// ClassifyBatch and live sessions (Pipeline.NewSession) all borrow an
+// instance per stage chunk, or, with SetShards, spread each chunk's
+// (shard, block) wavefront across the pool. Panel classifies one read
+// against several reference genomes at once, picking the best-matching
+// target.
 package engine
 
 import (
@@ -98,13 +101,8 @@ type kernel interface {
 // back-ends are safe for concurrent use; the hardware tile is not —
 // Pipeline grants callers exclusive instances either way.
 type Backend struct {
-	k kernel
-	// shardWidth, when positive, selects the serial cache-blocked sharded
-	// execution path (NewSoftwareSharded): each chunk walks the row one
-	// shard at a time, halos chaining between neighbours. Results are
-	// bit-identical to the plain path by construction.
-	shardWidth int
-	pool       sync.Pool
+	k    kernel
+	pool sync.Pool
 }
 
 func newBackend(k kernel) *Backend {
@@ -124,16 +122,9 @@ func (b *Backend) RefLen() int { return b.k.refLen() }
 // on a scheduler, so their extend hook is infallible.
 func (b *Backend) newSession(stages []sdtw.Stage) *Session {
 	ps := b.pool.Get().(*sessionState)
-	row := ps.row
-	row.Reset()
+	ps.row.Reset()
 	extend := func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		return b.k.extend(row, chunk, st), nil
-	}
-	if b.shardWidth > 0 {
-		plan := b.k.(*swKernel).shardRow(row, b.shardWidth)
-		extend = func(_ *sdtw.Row, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
-			return plan.extend(chunk), nil
-		}
 	}
 	return newSession(stages, ps, extend, func(ps *sessionState) { b.pool.Put(ps) })
 }

@@ -31,7 +31,11 @@ type PrunePolicy struct {
 	MarginPerSample int64
 }
 
-func (pp PrunePolicy) validate() error {
+// Validate reports a policy no session can run: an enabled policy with a
+// negative margin. Panel and cascade sessions refuse such a policy when
+// they open; callers that open many sessions under one policy can check
+// it once up front.
+func (pp PrunePolicy) Validate() error {
 	if pp.Enabled && pp.MarginPerSample < 0 {
 		return fmt.Errorf("engine: prune margin must be non-negative, got %d", pp.MarginPerSample)
 	}
@@ -89,7 +93,7 @@ func (p *Panel) NewSession(prune PrunePolicy) (*PanelSession, error) {
 // cascade threads its session context through here so the exact tier
 // honors the same cancellation as the coarse pass.
 func (p *Panel) NewSessionContext(ctx context.Context, prune PrunePolicy) (*PanelSession, error) {
-	if err := prune.validate(); err != nil {
+	if err := prune.Validate(); err != nil {
 		return nil, err
 	}
 	return newPanelSession(ctx, p.targets, prune, nil), nil
@@ -267,17 +271,7 @@ func (ps *PanelSession) Finalize() PanelResult {
 // decided before the signal ended — the only case a live loop can still
 // act on with an ejection.
 func (ps *PanelSession) Stream(samples []int16, chunkSamples int) (PanelResult, bool) {
-	if chunkSamples <= 0 {
-		chunkSamples = len(samples)
-	}
-	done := false
-	for off := 0; off < len(samples) && !done; off += chunkSamples {
-		end := off + chunkSamples
-		if end > len(samples) {
-			end = len(samples)
-		}
-		done = ps.feed(samples[off:end])
-	}
+	done := streamChunks(samples, chunkSamples, ps.feed)
 	return ps.Finalize(), done
 }
 

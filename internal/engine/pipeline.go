@@ -160,31 +160,6 @@ func (p *Pipeline) ServiceTime(chunkSamples int) time.Duration {
 	return p.insts[0].k.serviceTime(chunkSamples)
 }
 
-// readServiceTime prices a whole staged read: the sum of its per-stage
-// chunk extensions under the pipeline's schedule.
-func (p *Pipeline) readServiceTime(totalSamples int) time.Duration {
-	if totalSamples <= 0 {
-		return 0
-	}
-	var total time.Duration
-	prev := 0
-	for _, st := range p.stages {
-		if totalSamples <= prev {
-			break
-		}
-		n := st.PrefixSamples - prev
-		if totalSamples < st.PrefixSamples {
-			n = totalSamples - prev
-		}
-		total += p.ServiceTime(n)
-		prev += n
-		if totalSamples <= st.PrefixSamples {
-			return total
-		}
-	}
-	return total
-}
-
 // SchedStats snapshots the scheduler's accounting: utilization, completed
 // and late task counts, and wait/latency percentiles over recent tasks.
 func (p *Pipeline) SchedStats() sched.Stats { return p.sch.Stats() }
@@ -343,32 +318,23 @@ func (p *Pipeline) shardedExtend(ctx context.Context, plan swPlan) func(*sdtw.Ro
 	}
 }
 
-// Classify classifies one read on a scheduler-borrowed instance; with
-// SetShards configured, the read's shards wavefront across the pool
-// instead, so even a single classification uses every idle instance.
+// Classify classifies one read as a session fed the whole read once:
+// each stage chunk borrows a scheduler instance, or, with SetShards
+// configured, wavefronts its shards across the pool, so even a single
+// classification uses every idle instance.
 func (p *Pipeline) Classify(samples []int16) Result {
-	r, err := p.classify(context.Background(), samples)
-	if err != nil {
-		// Unreachable: the background context is never cancelled.
-		panic("engine: " + err.Error())
-	}
-	return r
+	sess := p.NewSession()
+	sess.Feed(samples)
+	return sess.Finalize()
 }
 
 // classify is Classify under a context: the single read path every
 // concurrent entry point funnels through. Its only error is ctx's.
 func (p *Pipeline) classify(ctx context.Context, samples []int16) (Result, error) {
-	if p.shardWidth > 0 {
-		sess := p.NewSessionContext(ctx)
-		sess.Feed(samples)
-		res := sess.Finalize()
-		return res, sess.Err()
-	}
-	var res Result
-	err := p.do(ctx, p.readServiceTime(len(samples)), func(b *Backend) {
-		res = b.Classify(samples, p.stages)
-	})
-	return res, err
+	sess := p.NewSessionContext(ctx)
+	sess.Feed(samples)
+	res := sess.Finalize()
+	return res, sess.Err()
 }
 
 // fanOut runs fn(i) for i in [0, n) over a bounded set of participants

@@ -159,20 +159,28 @@ func (s *Session) Finalize() Result {
 // ejection; a read that ends undecided is finalized for its verdict but
 // has already left the pore.
 func (s *Session) Stream(samples []int16, chunkSamples int) (Result, bool) {
+	done := streamChunks(samples, chunkSamples, func(chunk []int16) bool {
+		_, decided := s.Feed(chunk)
+		return decided
+	})
+	// Idempotent when already decided; decides the trailing partial
+	// stage otherwise.
+	return s.Finalize(), done
+}
+
+// streamChunks is the chunk loop behind every session's Stream: it hands
+// samples to feed in chunkSamples-sized deliveries (<= 0 delivers
+// everything at once) until feed reports the read decided, and returns
+// whether it did.
+func streamChunks(samples []int16, chunkSamples int, feed func([]int16) bool) bool {
 	if chunkSamples <= 0 {
 		chunkSamples = len(samples)
 	}
 	done := false
 	for off := 0; off < len(samples) && !done; off += chunkSamples {
-		end := off + chunkSamples
-		if end > len(samples) {
-			end = len(samples)
-		}
-		_, done = s.Feed(samples[off:end])
+		done = feed(samples[off:min(off+chunkSamples, len(samples))])
 	}
-	// Idempotent when already decided; decides the trailing partial
-	// stage otherwise.
-	return s.Finalize(), done
+	return done
 }
 
 // Decided reports whether the session has reached an Accept or Reject.

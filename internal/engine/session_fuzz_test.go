@@ -17,21 +17,19 @@ import (
 // plan leaves undelivered goes in one final chunk, and chunks keep
 // arriving after the session decides and after it finalizes.
 //
-// The same chunks go to a session on NewSoftware and one on
-// NewSoftwareSharded. Every Feed must return the same result and done
-// flag on both, a decided Feed must return exactly the one-shot
-// (*Backend).Classify result, and so must Finalize — PerStage and Stats
-// included. The seed corpus in testdata/fuzz covers empty, 1-sample,
-// stage-edge and oversized chunks and feeds after the decision.
+// The same chunks go to a session on NewSoftware and to sessions on two
+// SetShards(3) pipelines, one over 1 instance and one over 2, whose
+// one-shot Classify must also match. Every Feed must return the same
+// result and done flag on all three, a decided Feed must return exactly
+// the one-shot (*Backend).Classify result, and so must Finalize —
+// PerStage and Stats included. The seed corpus in testdata/fuzz covers
+// empty, 1-sample, stage-edge and oversized chunks and feeds after the
+// decision.
 func FuzzSessionFeed(f *testing.F) {
 	rng := rand.New(rand.NewSource(263))
 	cfg := sdtw.DefaultIntConfig()
 	ref := randomRef(rng, 1200)
 	plain, err := NewSoftware(ref, cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	sharded, err := NewSoftwareSharded(ref, cfg, 3)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,28 +40,46 @@ func FuzzSessionFeed(f *testing.F) {
 		{{PrefixSamples: 300, Threshold: 300 * 30}, {PrefixSamples: 700, Threshold: 700 * 30}, {PrefixSamples: 1200, Threshold: 1 << 30}},
 	}
 
+	// sharded[s][i] is schedule s's SetShards(3) pipeline over i+1
+	// instances.
+	sharded := make([][2]*Pipeline, len(schedules))
+	for s, stages := range schedules {
+		for i := range sharded[s] {
+			pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, i+1, stages)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if err := pipe.SetShards(3); err != nil {
+				f.Fatal(err)
+			}
+			sharded[s][i] = pipe
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, seed int64, length uint16, schedule uint8, plan []byte) {
-		stages := schedules[int(schedule)%len(schedules)]
+		si := int(schedule) % len(schedules)
+		stages := schedules[si]
 		read := randomRead(rand.New(rand.NewSource(seed)), int(length)%2001)
 		want := plain.Classify(read, stages)
-		if got := sharded.Classify(read, stages); !reflect.DeepEqual(got, want) {
-			t.Fatalf("read of %d samples: sharded one-shot %+v != plain %+v", len(read), got, want)
-		}
 		sw, err := plain.NewSession(stages)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := sharded.NewSession(stages)
-		if err != nil {
-			t.Fatal(err)
+		sessions := []*Session{sw}
+		for i, pipe := range sharded[si] {
+			if got := pipe.Classify(read); !reflect.DeepEqual(got, want) {
+				t.Fatalf("read of %d samples: sharded one-shot over %d instances %+v != plain %+v", len(read), i+1, got, want)
+			}
+			sessions = append(sessions, pipe.NewSession())
 		}
 		off := 0
 		feed := func(chunk []int16) {
 			r, done := sw.Feed(chunk)
-			rs, doneS := sh.Feed(chunk)
-			if done != doneS || !reflect.DeepEqual(r, rs) {
-				t.Fatalf("read of %d samples, plan %v, at %d: sharded Feed %+v (done %v) != plain %+v (done %v)",
-					len(read), plan, off, rs, doneS, r, done)
+			for i, sh := range sessions[1:] {
+				if rs, doneS := sh.Feed(chunk); done != doneS || !reflect.DeepEqual(r, rs) {
+					t.Fatalf("read of %d samples, plan %v, at %d: sharded Feed over %d instances %+v (done %v) != plain %+v (done %v)",
+						len(read), plan, off, i+1, rs, doneS, r, done)
+				}
 			}
 			if done && !reflect.DeepEqual(r, want) {
 				t.Fatalf("read of %d samples, plan %v, at %d: decided Feed %+v != one-shot %+v", len(read), plan, off, r, want)
@@ -95,7 +111,7 @@ func FuzzSessionFeed(f *testing.F) {
 		if sw.Decided() {
 			feed(read) // signal past the decision: ignored
 		}
-		for _, s := range []*Session{sw, sh} {
+		for _, s := range sessions {
 			if got := s.Finalize(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("read of %d samples, plan %v: Finalize %+v != one-shot %+v", len(read), plan, got, want)
 			}

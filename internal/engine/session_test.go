@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"squigglefilter/internal/gpu"
 	"squigglefilter/internal/sdtw"
 )
 
@@ -247,6 +248,51 @@ func TestPipelineSessionScheduler(t *testing.T) {
 		// cycle count, which matches here too — compare everything.
 		if !reflect.DeepEqual(got[ch], want[ch]) {
 			t.Errorf("channel %d: scheduled session diverged:\ngot  %+v\nwant %+v", ch, got[ch], want[ch])
+		}
+	}
+}
+
+// TestPipelineClassifyIsSession pins the one read path: on sw, hw and
+// gpu pipelines under a multi-stage schedule, one-shot Pipeline.Classify
+// equals a pipeline session fed the whole read and finalized, bit for bit
+// (PerStage and Stats included), and an unsharded pipeline schedules one
+// task per evaluated stage — Classify borrows an instance per stage
+// chunk, never once for the whole read.
+func TestPipelineClassifyIsSession(t *testing.T) {
+	rng := rand.New(rand.NewSource(117))
+	cfg := sdtw.DefaultIntConfig()
+	ref := randomRef(rng, 1400)
+	stages := []sdtw.Stage{
+		{PrefixSamples: 300, Threshold: 300 * 30},
+		{PrefixSamples: 700, Threshold: 700 * 30},
+		{PrefixSamples: 1200, Threshold: 1 << 30},
+	}
+	factories := map[string]func() (*Backend, error){
+		"sw":  func() (*Backend, error) { return NewSoftware(ref, cfg) },
+		"hw":  func() (*Backend, error) { return NewHardware(ref, cfg) },
+		"gpu": func() (*Backend, error) { return NewGPU(ref, cfg, gpu.TitanXP()) },
+	}
+	reads := [][]int16{nil, randomRead(rng, 150), randomRead(rng, 700)}
+	for i := 0; i < 5; i++ {
+		reads = append(reads, randomRead(rng, 200+rng.Intn(1400)))
+	}
+	for name, factory := range factories {
+		pipe, err := NewPipeline(factory, 2, stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, read := range reads {
+			before := pipe.SchedStats().Completed
+			got := pipe.Classify(read)
+			tasks := pipe.SchedStats().Completed - before
+			if tasks != int64(len(got.PerStage)) {
+				t.Errorf("%s read %d: Classify ran %d scheduler tasks over %d stages", name, i, tasks, len(got.PerStage))
+			}
+			sess := pipe.NewSession()
+			sess.Feed(read)
+			if want := sess.Finalize(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s read %d: Classify diverged from a session fed once:\ngot  %+v\nwant %+v", name, i, got, want)
+			}
 		}
 	}
 }

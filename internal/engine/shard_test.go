@@ -126,37 +126,6 @@ func TestShardedPipelineConcurrent(t *testing.T) {
 	}
 }
 
-// TestSoftwareShardedBackendParity covers the serial cache-blocked path:
-// NewSoftwareSharded back-ends (including degenerate shard counts) match
-// the plain software back-end bit for bit, one-shot and streamed.
-func TestSoftwareShardedBackendParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	cfg := sdtw.DefaultIntConfig()
-	ref := randomRef(rng, 2100)
-	plain, err := NewSoftware(ref, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 7, len(ref) + 1} {
-		sharded, err := NewSoftwareSharded(ref, cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 6; trial++ {
-			stages := randStages(rng)
-			read := randomRead(rng, 300+rng.Intn(2600))
-			want := plain.Classify(read, stages)
-			requireResultEqual(t, "NewSoftwareSharded Classify", sharded.Classify(read, stages), want)
-			sess, err := sharded.NewSession(stages)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := sess.Stream(read, 250)
-			requireResultEqual(t, "NewSoftwareSharded Session", got, want)
-		}
-	}
-}
-
 // TestHardwareTilesBackendParity runs the multi-tile hardware back-end
 // against the software truth over random schedules and chunkings, and
 // checks the halo traffic reaches Stats.DRAMBytes — the end-to-end form of

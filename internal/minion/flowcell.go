@@ -180,14 +180,6 @@ func (h fcHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h fcHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *fcHeap) Push(x any)   { *h = append(*h, x.(fcEvent)) }
-func (h *fcHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 // RunFlowCell simulates cfg.Channels pores for cfg.DurationSec virtual
 // seconds against the pipeline's classifier. Verdicts come from real DP

@@ -101,11 +101,9 @@ func PanelSessionClassifier(panel *engine.Panel, cfg Config, latencySec float64,
 	if chunkSamples <= 0 {
 		chunkSamples = DefaultChunkSamples
 	}
-	probe, err := panel.NewSession(prune)
-	if err != nil {
+	if err := prune.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("minion: %w", err)
 	}
-	probe.Finalize() // return the probe's DP rows to their pools
 	spb := cfg.SamplesPerBase
 	if spb <= 0 {
 		return nil, nil, fmt.Errorf("minion: SamplesPerBase must be positive for signal-level classification")
@@ -127,10 +125,7 @@ func PanelSessionClassifier(panel *engine.Panel, cfg Config, latencySec float64,
 		if len(r.Samples) == 0 {
 			return Decision{}
 		}
-		sess, err := panel.NewSession(prune)
-		if err != nil {
-			return Decision{}
-		}
+		sess, _ := panel.NewSession(prune) // the policy is validated above
 		res, decided := sess.Stream(r.Samples, chunkSamples)
 		for i, tr := range res.PerTarget {
 			tally.DPSamples[i] += int64(tr.SamplesUsed)

@@ -24,6 +24,8 @@ cd "$(dirname "$0")/.."
 #   virtual-time twin is deterministic, a context already cancelled
 #   never gets an instance, and the 512-channel keep-up verdict
 #   cross-validates against the runtime model.
+# - One read path: one-shot Pipeline.Classify is a session fed the whole
+#   read once on sw, hw and gpu, scheduling one task per evaluated stage.
 # - Cascade: the coarse tier never drops the exact panel's winner, and
 #   TopK >= the panel size is bit-identical to a plain panel.
 # - Coarse pass: the pooled multi-participant pass commits the survivors
@@ -40,8 +42,9 @@ gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity TestAVX2StripsVEXOnly
 ./internal/hw TestTileGroupMatchesSoftware TestTileGroupMultiPassSharded
-./internal/engine TestShardedPipelineParity TestSoftwareShardedBackendParity TestHardwareTilesBackendParity
+./internal/engine TestShardedPipelineParity TestHardwareTilesBackendParity
 ./internal/engine TestSchedulerVerdictParity TestSchedulerMixedLoadOneInstance TestClassifyBatchCancelled TestSessionFeedCancelled
+./internal/engine TestPipelineClassifyIsSession
 ./internal/engine/sched TestVirtualDeterminism TestVirtualEDFOrder TestSchedulerEDFGrantOrder TestSchedulerAcquireCancelledContext
 ./internal/minion TestFlowCell512KeepUpVerdict TestFlowCellDeterministic TestFlowCellCrossValidatesRuntimeMeasured
 . TestCascadeNeverDropsExactWinner TestCascadeTopKIdentity

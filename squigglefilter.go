@@ -111,8 +111,9 @@ type DetectorConfig struct {
 	// MatchBonus to a negative value to disable the bonus.
 	MatchBonus int32
 	BonusCap   int32
-	// Workers sizes ClassifyBatch's worker pool (back-end instances reads
-	// are sharded across). Zero means runtime.NumCPU().
+	// Workers sizes the software worker pool: the back-end instances that
+	// Classify, ClassifyBatch and Sessions schedule their DP work over.
+	// Zero means runtime.NumCPU().
 	Workers int
 	// Shards splits the reference dimension of every classification into
 	// this many shards (0 or 1 = unsharded). The software paths schedule
@@ -222,9 +223,8 @@ type Detector struct {
 	stages   []sdtw.Stage
 	realtime RealtimeConfig
 
-	sw     *engine.Backend  // direct software path (concurrency-safe)
 	gpu    *engine.Backend  // calibrated GPU baseline (concurrency-safe)
-	swPipe *engine.Pipeline // batch worker pool over software instances
+	swPipe *engine.Pipeline // software instances every software read runs on
 	hwPipe *engine.Pipeline // hardware tiles; pipeline serializes access
 }
 
@@ -279,12 +279,6 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	// The one-shot software back-end uses the serial cache-blocked sharded
-	// path; the pipeline below layers intra-read parallelism on top.
-	swBackend, err := engine.NewSoftwareSharded(ref.Int8, icfg, shards)
-	if err != nil {
-		return nil, fmt.Errorf("squigglefilter: %w", err)
-	}
 	gpuBackend, err := engine.NewGPU(ref.Int8, icfg, gpu.TitanXP())
 	if err != nil {
 		return nil, fmt.Errorf("squigglefilter: %w", err)
@@ -329,7 +323,6 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 		cfg:      icfg,
 		stages:   internalStages,
 		realtime: cfg.Realtime,
-		sw:       swBackend,
 		gpu:      gpuBackend,
 		swPipe:   swPipe,
 		hwPipe:   hwPipe,
@@ -343,7 +336,7 @@ func (d *Detector) Name() string { return d.name }
 // the R in the paper's ~2R-cycle classification latency.
 func (d *Detector) ReferenceSamples() int { return d.ref.Len() }
 
-// Workers returns the size of ClassifyBatch's worker pool.
+// Workers returns the size of the software worker pool.
 func (d *Detector) Workers() int { return d.swPipe.Workers() }
 
 // Shards returns the resolved reference shard count of the software
@@ -359,15 +352,16 @@ func (d *Detector) Kernel() Kernel { return KernelInt32 }
 // detector schedules best-effort).
 func (d *Detector) Realtime() RealtimeConfig { return d.realtime }
 
-// SchedStats summarizes the detector's software scheduler: every
-// Classify/ClassifyBatch read, live Session stage extension, and sharded
-// (shard, block) task dispatches through one earliest-deadline-first
-// queue, and this is its accounting — the measured side of the paper's
-// "keeps up with the sequencer" claim.
+// SchedStats summarizes the detector's software scheduler. Every software
+// read — Classify, ClassifyBatch and live Sessions alike — runs as a
+// session whose stage extensions (sharded: (shard, block) tasks) dispatch
+// through one earliest-deadline-first queue, and this is its accounting —
+// the measured side of the paper's "keeps up with the sequencer" claim.
 type SchedStats struct {
 	// Instances is the back-end pool size tasks are scheduled over.
 	Instances int
-	// Completed counts finished DP tasks; Late those that finished after
+	// Completed counts finished DP tasks (one per evaluated stage of an
+	// unsharded read); Late those that finished after
 	// their real-time deadline (always 0 without DetectorConfig.Realtime).
 	Completed, Late int64
 	// Utilization is the fraction of pool capacity spent running DP.
@@ -407,9 +401,12 @@ func verdictFrom(r engine.Result) Verdict {
 	return Verdict{Decision: Decision(r.Decision), Cost: r.Cost, SamplesUsed: r.SamplesUsed}
 }
 
-// Classify runs the software filter over a read's raw 10-bit samples.
+// Classify runs the software filter over a read's raw 10-bit samples: a
+// Session fed the whole read once, its stage extensions dispatched
+// through the detector's scheduler over Workers instances (with
+// Shards > 1, as a wavefront across them).
 func (d *Detector) Classify(samples []int16) Verdict {
-	return verdictFrom(d.sw.Classify(samples, d.stages))
+	return verdictFrom(d.swPipe.Classify(samples))
 }
 
 // Session is an incremental classification of one read: raw signal
