@@ -22,7 +22,11 @@
 // worker pool (per-read latency, not just batch throughput), and the hw
 // back-end gangs up to 5 tiles cooperatively — which is also how
 // references beyond one tile's 100 KB buffer are classified at all.
-// Sharded verdicts are bit-identical to unsharded ones.
+// The default, 0, is the detector's own: min(-workers, GOMAXPROCS)
+// shards on sw, an auto-sized tile group on hw, and unsharded -panel
+// targets; the config line prints the resolved count (auto on hw and
+// gpu), and -shards 1 forces unsharded. Sharded verdicts are
+// bit-identical to unsharded ones.
 //
 // -stream replays each read through an incremental Session in -chunk
 // sample deliveries, as a live Read Until loop would — decisions land the
@@ -165,7 +169,7 @@ func main() {
 	prefix := flag.Int("prefix", 2000, "prefix samples per decision")
 	backend := flag.String("backend", "sw", "classification backend: sw, hw, or gpu")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker pool size batch reads (and each read's shards) are scheduled across, for any backend")
-	shards := flag.Int("shards", 1, "reference shards per read: intra-read parallelism on sw, cooperating tiles on hw (1 = unsharded)")
+	shards := flag.Int("shards", 0, "reference shards per read: intra-read parallelism on sw, cooperating tiles on hw (0 = the detector's default, 1 = unsharded)")
 	stream := flag.Bool("stream", false, "replay reads through incremental sessions on the selected backend's instance pool")
 	chunk := flag.Int("chunk", 400, "streaming chunk size in samples (~0.1 s of signal)")
 	pruneMargin := flag.Int("prune-margin", -1, "panel stream cross-target prune margin in cost units/sample (< 0 disables)")
@@ -209,8 +213,8 @@ func main() {
 		log.Fatalf("dataset %s contains no reads", *dataPath)
 	}
 
-	if *shards < 1 {
-		log.Fatalf("-shards must be at least 1, got %d", *shards)
+	if *shards < 0 {
+		log.Fatalf("-shards must be at least 0, got %d", *shards)
 	}
 
 	if *panelRefs != "" {
@@ -268,8 +272,14 @@ func main() {
 	// The resolved configuration, so runs are reproducible from their logs.
 	// sweep names the int32 row sweep the process dispatched to (AVX2
 	// strip or scalar), so a timing can be tied to the path behind it.
-	fmt.Printf("config: backend=%s sweep=%s workers=%d shards=%d (reference %d samples)\n",
-		*backend, sdtw.Sweep(), det2.Workers(), det2.Shards(), det2.ReferenceSamples())
+	// The default shard count is the software pipeline's; hw sizes its
+	// tile group to the reference then, and gpu never shards.
+	shardsLabel := fmt.Sprint(det2.Shards())
+	if *backend != "sw" && *shards == 0 {
+		shardsLabel = "auto"
+	}
+	fmt.Printf("config: backend=%s sweep=%s workers=%d shards=%s (reference %d samples)\n",
+		*backend, sdtw.Sweep(), det2.Workers(), shardsLabel, det2.ReferenceSamples())
 
 	samples := make([][]int16, len(reads))
 	for i, r := range reads {
@@ -288,7 +298,7 @@ func main() {
 	if *stream {
 		// Built (and, for sw, service-time-calibrated) before the clock
 		// starts: the timed region below is classify work only.
-		streamPipe, _ = buildPipeline(seq, *backend, *workers, *shards, *prefix, th)
+		streamPipe, _ = buildPipeline(seq, *backend, *workers, det2.Shards(), *prefix, th)
 		streamPipe.ServiceTime(*chunk)
 	}
 	start := time.Now()
@@ -409,6 +419,8 @@ func runPanel(reads []*squiggle.Read, panelRefs string, prefix int, threshold in
 			Shards:   shards,
 		})
 	}
+	// A panel's targets default to unsharded.
+	shards = max(shards, 1)
 	var panel *squigglefilter.Panel
 	var cp *squigglefilter.CascadePanel
 	if cascade {

@@ -24,7 +24,7 @@ func NewSoftware(ref []int8, cfg sdtw.IntConfig) (*Backend, error) {
 
 // swKernel is the software kernel: sdtw's int32 row sweep, with its AVX2
 // strip where the CPU has one. It is the only kernel whose reference
-// dimension the engine partitions (shardRow): the hardware kernel shards
+// dimension the engine partitions (wavefront.go): the hardware kernel shards
 // inside the device instead (hw.TileGroup via NewHardwareTiles), and the
 // GPU kernel models whole-kernel launches.
 type swKernel struct {
@@ -39,36 +39,12 @@ func (k *swKernel) extend(row *sdtw.Row, chunk []int8, _ *Stats) sdtw.IntResult 
 	return sdtw.Extend(row, chunk, k.ref, k.cfg)
 }
 
-// shardRow wraps a row in width-column shard views.
-func (k *swKernel) shardRow(row *sdtw.Row, width int) swPlan {
-	return swPlan{k: k, sr: sdtw.ShardRow(row, width)}
-}
-
 func (k *swKernel) serviceTime(chunkSamples int) time.Duration {
 	if chunkSamples <= 0 {
 		return 0
 	}
 	cells := float64(chunkSamples) * float64(len(k.ref))
 	return time.Duration(cells * swCellSeconds() * float64(time.Second))
-}
-
-// swPlan is one read's reference-sharded DP state: fixed-width shard views
-// over the read's row, with halos chained between neighbours. A shard
-// extends independently of the columns to its right, given the left
-// neighbour's halo trace — legal because the hardware recurrence has no
-// intra-row dependency (internal/sdtw).
-type swPlan struct {
-	k  *swKernel
-	sr *sdtw.Sharded
-}
-
-// extendShard consumes one normalized chunk on shard k, reading the left
-// neighbour's halo trace from haloIn and recording its own into haloOut
-// (both nil at the respective edges). Calls on disjoint shards are safe
-// to run concurrently — the pipeline's wavefront scheduler relies on it.
-func (p swPlan) extendShard(k int, chunk []int8, haloIn, haloOut *sdtw.Halo) sdtw.IntResult {
-	lo, hi := p.sr.Bounds(k)
-	return sdtw.ExtendShard(p.sr.Shard(k), chunk, p.k.ref[lo:hi], p.k.cfg, haloIn, haloOut)
 }
 
 // calibrateCellSeconds times one chunk extension of a freshly built DP

@@ -15,12 +15,15 @@ type claimFunc func(i int)
 
 func (f claimFunc) claim(i int) { f(i) }
 
-// claimJob is the engine's one work-sharing loop: n independent items,
-// claimed one at a time off a shared atomic cursor by every participant —
-// the goroutine that runs the job plus whichever helpers join it. Claims
-// are dynamic, so a participant that draws a long item simply claims
-// fewer; bodies write per-item slots, so the outcome never depends on who
-// claimed what. The coarse pass's lane groups, the exact tier's survivors,
+// claimJob is the engine's one work-sharing loop: n items, claimed one
+// at a time in ascending order off a shared atomic cursor by every
+// participant — the goroutine that runs the job plus whichever helpers
+// join it. Claims are dynamic, so a participant that draws a long item
+// simply claims fewer; bodies write per-item slots, so the outcome never
+// depends on who claimed what. An item may wait on a lower one, which is
+// always claimed by a running participant already: a sharded chunk's
+// shards (wavefront.go) wait on their left neighbours' halos. The coarse
+// pass's lane groups, the exact tier's survivors, the wavefront,
 // Panel.runTargets and Pipeline.fanOut all run through it.
 type claimJob struct {
 	body claimer
@@ -71,42 +74,82 @@ func (j *claimJob) runSpawned(workers int) {
 // helperSet is a persistent set of goroutines that park between jobs and
 // join whichever claimJob is handed to them, so a job spawns nothing. The
 // job's caller is always one participant, so workers-1 helpers serve jobs
-// of up to workers participants. Handoff is non-blocking: a helper set
-// busy with other jobs — or already released by close — simply does not
-// join, and the caller drains the difference itself.
+// of up to workers participants. Handoff is non-blocking: a job takes
+// only the helpers that are idle, and the caller drains the difference
+// itself. A helper counts as idle again before it signals that it left a
+// job, so the job's caller — whose next job may follow at once, as a
+// session's next stage chunk does — always finds it.
 type helperSet struct {
-	workers   int
-	work      chan *claimJob
-	quit      chan struct{}
-	closeOnce sync.Once
-	helpers   sync.WaitGroup
+	workers int
+	// work holds handed-over jobs, one slot per helper, so a handoff to
+	// an idle helper never blocks, even one not yet back at its receive.
+	work chan *claimJob
+	quit chan struct{}
+	// mu guards idle and closed, and orders every handoff before close.
+	mu      sync.Mutex
+	idle    int
+	closed  bool
+	helpers sync.WaitGroup
 }
 
-// init starts the workers-1 helpers, parked until a job arrives; they
-// live until close. Starting them here, not on first use, is what lets
-// the first job find them parked.
-func (h *helperSet) init(workers int) {
+// arm sizes the set for workers-1 helpers, every one idle; the caller
+// starts them.
+func (h *helperSet) arm(workers int) {
 	h.workers = workers
-	h.work = make(chan *claimJob)
+	h.idle = max(workers-1, 0)
+	h.work = make(chan *claimJob, h.idle)
 	h.quit = make(chan struct{})
+}
+
+// init starts the workers-1 helpers of a closable set (a cascade's),
+// parked until a job arrives; they live until close.
+func (h *helperSet) init(workers int) {
+	h.arm(workers)
 	for i := 0; i < workers-1; i++ {
 		h.helpers.Add(1)
 		go h.serve()
 	}
 }
 
-// serve is one helper: park, join a handed-over job, drain it, park again.
+// serve is one helper of a closable set (a cascade's): it works jobs
+// until close.
 func (h *helperSet) serve() {
 	defer h.helpers.Done()
+	h.loop()
+}
+
+// serveShards is one helper of the process-wide shard set, which is
+// never closed.
+func (h *helperSet) serveShards() { h.loop() }
+
+// loop is a helper's life: park, join a handed-over job, drain it, park
+// again, until the set is closed. Jobs handed over before close still
+// find a helper: each one takes what is left in work on its way out.
+func (h *helperSet) loop() {
 	for {
 		select {
 		case <-h.quit:
-			return
+			for {
+				select {
+				case j := <-h.work:
+					h.join(j)
+				default:
+					return
+				}
+			}
 		case j := <-h.work:
-			j.drain()
-			j.joined.Done()
+			h.join(j)
 		}
 	}
+}
+
+// join drains j, then counts the helper idle before it signals the job.
+func (h *helperSet) join(j *claimJob) {
+	j.drain()
+	h.mu.Lock()
+	h.idle++
+	h.mu.Unlock()
+	j.joined.Done()
 }
 
 // close releases the helpers and returns once every one has exited. A
@@ -115,7 +158,12 @@ func (h *helperSet) serve() {
 // running jobs: after close, handoffs find no helper and the caller
 // drains alone.
 func (h *helperSet) close() {
-	h.closeOnce.Do(func() { close(h.quit) })
+	h.mu.Lock()
+	if !h.closed {
+		h.closed = true
+		close(h.quit)
+	}
+	h.mu.Unlock()
 	h.helpers.Wait()
 }
 
@@ -123,16 +171,17 @@ func (h *helperSet) close() {
 // more participants than items, and returns once every participant is
 // done. A nil helper set runs the job on the caller alone.
 func (h *helperSet) run(j *claimJob) {
-	if h != nil && h.workers > 1 && j.n > 1 {
-		extra := min(int64(h.workers-1), j.n-1)
-		for ; extra > 0; extra-- {
-			j.joined.Add(1)
-			select {
-			case h.work <- j:
-			default:
-				j.joined.Add(-1)
+	if h != nil && j.n > 1 {
+		h.mu.Lock()
+		if !h.closed {
+			extra := min(h.idle, int(j.n-1))
+			h.idle -= extra
+			j.joined.Add(extra)
+			for ; extra > 0; extra-- {
+				h.work <- j
 			}
 		}
+		h.mu.Unlock()
 	}
 	j.drain()
 	j.joined.Wait()

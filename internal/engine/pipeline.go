@@ -31,24 +31,17 @@ type Pipeline struct {
 	// parks rows in DRAM between stages).
 	rows sync.Pool
 	// shardWidth > 0 selects the sharded execution path (SetShards): one
-	// read's DP row splits into reference shards and (shard, block) tasks
-	// wavefront across the instance pool — intra-read parallelism.
+	// read's DP row splits into reference shards whose (shard, block)
+	// tasks wavefront across the instance pool — intra-read parallelism.
 	shardWidth int
 	shards     int
-	// halos recycles the boundary traces the wavefront exchanges.
-	halos sync.Pool
+	// helpers joins the wavefronts (shardHelpers once sharded).
+	helpers *helperSet
 	// rtWindow, when positive, is the real-time decision window in
 	// nanoseconds: scheduler tasks get deadline now+window, making EDF
 	// prefer the most urgent channel's work (SetRealtime).
 	rtWindow atomic.Int64
 }
-
-// shardBlockSamples is the wavefront granularity of the parallel sharded
-// path: each stage chunk is cut into blocks this long and (shard, block)
-// tasks form a software systolic pipeline — shard k computes block b while
-// shard k+1 computes block b-1 from k's recorded halo — so up to
-// min(shards, blocks) instances cooperate on one read.
-const shardBlockSamples = 512
 
 // NewPipeline builds instances back-ends via factory and programs them all
 // with the same stage schedule. instances <= 0 means 1.
@@ -82,15 +75,17 @@ func NewPipeline(factory func() (*Backend, error), instances int, stages []sdtw.
 		shards: 1,
 	}
 	p.rows.New = func() any { return newSessionState(sdtw.NewRow(refLen)) }
-	p.halos.New = func() any { return new(sdtw.Halo) }
 	return p, nil
 }
 
 // SetShards configures reference-sharded execution: every classification
-// splits its DP row into shards of width ceil(RefLen/shards) and schedules
-// one read's (shard, block) tasks across the instance pool as a wavefront,
-// so per-read latency shrinks with the shard count instead of only batch
-// throughput scaling with it. shards <= 1 restores the unsharded path.
+// splits its DP row into shards of width ceil(RefLen/shards) and runs
+// each stage chunk's shards as a wavefront (wavefront.go) on the caller
+// and the process-wide shard helpers, borrowing an instance per (shard,
+// block) task, so per-read latency shrinks with the shard count instead
+// of only batch throughput scaling with it. shards <= 1 restores the
+// unsharded path. The first sharded pipeline starts the shard helpers,
+// GOMAXPROCS-1 of them at that moment, which live for the process.
 //
 // It errors when the pipeline's back-ends cannot extend reference shards —
 // only the software back-end can; the hardware model shards across tiles
@@ -114,6 +109,7 @@ func (p *Pipeline) SetShards(shards int) error {
 	}
 	p.shards = (p.refLen + width - 1) / width
 	p.shardWidth = width
+	p.helpers = shardHelpers()
 	return nil
 }
 
@@ -202,120 +198,25 @@ func (p *Pipeline) NewSession() *Session {
 // cannot leak a blocked channel goroutine.
 func (p *Pipeline) NewSessionContext(ctx context.Context) *Session {
 	ps := p.rows.Get().(*sessionState)
-	row := ps.row
-	row.Reset()
-	extend := func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
+	ps.row.Reset()
+	release := func(ps *sessionState) { p.rows.Put(ps) }
+	if p.shardWidth > 0 {
+		w := ps.wave
+		if w == nil || w.width != p.shardWidth {
+			w = newWavefront(p, ps.row)
+			ps.wave = w
+		}
+		return newSession(p.stages, ps, func(_ *sdtw.Row, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
+			return w.extend(ctx, chunk)
+		}, release)
+	}
+	return newSession(p.stages, ps, func(row *sdtw.Row, chunk []int8, st *Stats) (sdtw.IntResult, error) {
 		var r sdtw.IntResult
 		err := p.do(ctx, p.ServiceTime(len(chunk)), func(b *Backend) {
 			r = b.k.extend(row, chunk, st)
 		})
 		return r, err
-	}
-	if p.shardWidth > 0 {
-		plan := p.insts[0].k.(*swKernel).shardRow(row, p.shardWidth)
-		extend = p.shardedExtend(ctx, plan)
-	}
-	return newSession(p.stages, ps, extend, func(ps *sessionState) { p.rows.Put(ps) })
-}
-
-// shardedExtend builds a session extend hook that schedules one chunk's
-// (shard, block) wavefront across the instance pool. Each shard runs in
-// its own goroutine, consuming its left neighbour's halo trace per block
-// and producing its own; an instance is borrowed only for the duration of
-// one block's DP, never while waiting on a halo, so any mix of sharded and
-// unsharded work can share the pool without deadlock. On cancellation a
-// shard propagates a nil halo to its right neighbour, which unwinds the
-// whole wavefront without blocking.
-func (p *Pipeline) shardedExtend(ctx context.Context, plan swPlan) func(*sdtw.Row, []int8, *Stats) (sdtw.IntResult, error) {
-	return func(_ *sdtw.Row, chunk []int8, _ *Stats) (sdtw.IntResult, error) {
-		S := plan.sr.NumShards()
-		nb := (len(chunk) + shardBlockSamples - 1) / shardBlockSamples
-		if nb == 0 {
-			// Defensive: the session never feeds an empty stage chunk.
-			nb = 1
-		}
-		// Buffered boundary channels let a fast left shard run ahead
-		// through every block without blocking on its right neighbour.
-		// A nil halo signals the sender unwound.
-		bounds := make([]chan *sdtw.Halo, S-1)
-		for i := range bounds {
-			bounds[i] = make(chan *sdtw.Halo, nb)
-		}
-		results := make([]sdtw.IntResult, S)
-		errs := make([]error, S)
-		// A block is priced at its share of the full-row chunk extension.
-		blockCost := time.Duration(0)
-		if c := p.ServiceTime(len(chunk)); c > 0 {
-			blockCost = c / time.Duration(S*nb)
-		}
-		var wg sync.WaitGroup
-		for k := 0; k < S; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				aborted := false
-				for b := 0; b < nb; b++ {
-					var in *sdtw.Halo
-					if k > 0 {
-						// A nil halo from the left neighbour signals that
-						// it unwound; propagate and stop computing.
-						if in = <-bounds[k-1]; in == nil {
-							aborted = true
-						}
-					}
-					if !aborted && errs[k] == nil {
-						idx, err := p.sch.Acquire(ctx, p.task(blockCost))
-						if err != nil {
-							errs[k] = err
-							aborted = true
-						} else {
-							blockLo := b * shardBlockSamples
-							blockHi := blockLo + shardBlockSamples
-							if blockHi > len(chunk) {
-								blockHi = len(chunk)
-							}
-							block := chunk[blockLo:blockHi]
-							var out *sdtw.Halo
-							if k < S-1 {
-								out = p.halos.Get().(*sdtw.Halo)
-							}
-							r := plan.extendShard(k, block, in, out)
-							p.sch.Release(idx)
-							if in != nil {
-								p.halos.Put(in)
-							}
-							if k < S-1 {
-								bounds[k] <- out
-							}
-							if b == nb-1 {
-								results[k] = r
-							}
-							continue
-						}
-					}
-					if in != nil {
-						p.halos.Put(in)
-					}
-					if k < S-1 {
-						bounds[k] <- nil
-					}
-				}
-			}(k)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return sdtw.IntResult{EndPos: -1}, err
-			}
-		}
-		best := sdtw.IntResult{EndPos: -1}
-		for k := 0; k < S; k++ {
-			lo, _ := plan.sr.Bounds(k)
-			best = sdtw.MergeShardResult(best, results[k], lo)
-		}
-		plan.sr.Row().Samples += len(chunk)
-		return best, nil
-	}
+	}, release)
 }
 
 // Classify classifies one read as a session fed the whole read once:

@@ -146,27 +146,35 @@ type Scheduler struct {
 	running map[int]*waiter
 }
 
-// ring is a fixed-capacity ring buffer of float64 samples.
+// ringSegment is the ring's allocation unit: 4 KB of samples.
+const ringSegment = 1 << 9
+
+// ring keeps the most recent statWindow samples. Its storage comes in
+// fixed segments allocated as it first fills, so a scheduler that records
+// few tasks stays small, and growth never copies: a sample costs its 8
+// bytes once, however many tasks a read takes, where a doubling slice
+// allocated several times the bytes it kept.
 type ring struct {
-	buf  []float64
+	segs []*[ringSegment]float64
+	n    int // samples held, up to statWindow
 	next int
 }
 
 func (r *ring) add(v float64) {
-	if r.buf == nil {
-		r.buf = make([]float64, 0, 1024)
+	if r.next == len(r.segs)*ringSegment {
+		r.segs = append(r.segs, new([ringSegment]float64))
 	}
-	if len(r.buf) < statWindow {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.next] = v
+	r.segs[r.next/ringSegment][r.next%ringSegment] = v
 	r.next = (r.next + 1) % statWindow
+	r.n = min(r.n+1, statWindow)
 }
 
+// snapshot copies the held samples out, in storage order.
 func (r *ring) snapshot() []float64 {
-	out := make([]float64, len(r.buf))
-	copy(out, r.buf)
+	out := make([]float64, r.n)
+	for i := range out {
+		out[i] = r.segs[i/ringSegment][i%ringSegment]
+	}
 	return out
 }
 

@@ -58,11 +58,13 @@ type Session struct {
 
 // sessionState is what a session borrows from its back-end's pool for one
 // read: the resumable DP row and the two staging buffers, which share the
-// row's lifetime so a warm back-end serves reads without allocating them.
+// row's lifetime so a warm back-end serves reads without allocating them,
+// and on a sharded pipeline the wavefront over the row.
 type sessionState struct {
 	row  *sdtw.Row
 	buf  []int16
 	norm []int8
+	wave *wavefront
 }
 
 func newSessionState(row *sdtw.Row) any { return &sessionState{row: row} }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"squigglefilter/internal/engine/sched"
 	"squigglefilter/internal/hw"
 	"squigglefilter/internal/sdtw"
 )
@@ -275,5 +278,120 @@ func TestSetShardsValidation(t *testing.T) {
 	}
 	if err := hwPipe.SetShards(1); err != nil {
 		t.Errorf("SetShards(1) must always succeed, got %v", err)
+	}
+}
+
+// TestShardedSessionCancelUnwinds cancels a sharded session's wavefront
+// at two points: while the left shard waits for an instance with the
+// right shard parked on its halo, and mid chunk, once the left shard's
+// first block is done. Either way the session reports the context's
+// error with the last evaluated stage's verdict, every participant
+// unwinds (no goroutine outlives 100 such reads), and the pipeline's
+// next session is bit-identical to the unsharded kernel. Stage 2 follows
+// stage 1 at once, so every read also checks that a helper that has just
+// left one chunk joins the next.
+func TestShardedSessionCancelUnwinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	cfg := sdtw.DefaultIntConfig()
+	ref := randomRef(rng, 8000)
+	// Stage 1 always continues, so the cancelled second stage leaves its
+	// verdict standing; stage 2 is four blocks per shard.
+	stages := []sdtw.Stage{{PrefixSamples: 600, Threshold: 1 << 30}, {PrefixSamples: 1600, Threshold: 1600 * 4}}
+	pipe, err := NewPipeline(func() (*Backend, error) { return NewSoftware(ref, cfg) }, 1, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.SetShards(2); err != nil {
+		t.Fatal(err)
+	}
+	// A helper of the test's own, so the right shard runs beside the left
+	// one even on one CPU.
+	var hs helperSet
+	hs.init(2)
+	defer hs.close()
+	pipe.helpers = &hs
+
+	plain, err := NewSoftware(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := randomRead(rng, 1600)
+	want := plain.Classify(read, stages)
+	if len(want.PerStage) != 2 {
+		t.Fatalf("fixture decided after %d stages, want 2", len(want.PerStage))
+	}
+	requireResultEqual(t, "warm-up sharded Classify", pipe.Classify(read), want)
+
+	const (
+		acquireWait = "(*wavefront).claim("
+		haloWait    = "(*edge).await("
+		queued      = "(*Scheduler).Acquire("
+	)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		midChunk := i%2 == 1
+		ctx, cancel := context.WithCancel(context.Background())
+		sess := pipe.NewSessionContext(ctx)
+		if _, done := sess.Feed(read[:600]); done {
+			t.Fatal("stage 1 decided")
+		}
+		held, err := pipe.sch.Acquire(context.Background(), sched.Task{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed := make(chan Result, 1)
+		go func() {
+			r, _ := sess.Feed(read[600:])
+			fed <- r
+		}()
+		if n := waitGoroutines("select", acquireWait, 1); n != 1 {
+			t.Fatalf("read %d: %d shards waiting for an instance, want the left one", i, n)
+		}
+		if n := waitGoroutines("chan receive", haloWait, 1); n != 1 {
+			t.Fatalf("read %d: %d shards parked on a halo, want the right one", i, n)
+		}
+		if midChunk {
+			// A second holder queues behind the left shard's first block.
+			// The right shard cannot queue before that block's halo is
+			// out, which is after its release, so the holder is granted
+			// the instance the moment the block is done, and the cancel
+			// lands with the chunk part computed and no shard holding an
+			// instance.
+			next := make(chan int)
+			go func() {
+				idx, err := pipe.sch.Acquire(context.Background(), sched.Task{})
+				if err != nil {
+					panic(err)
+				}
+				next <- idx
+			}()
+			if n := waitGoroutines("select", queued, 2); n != 2 {
+				t.Fatalf("read %d: %d instance waits queued, want the left shard's and the holder's", i, n)
+			}
+			pipe.sch.Release(held)
+			held = <-next
+		}
+		cancel()
+		pipe.sch.Release(held)
+		got := <-fed
+		if sess.Err() != context.Canceled {
+			t.Fatalf("read %d (mid-chunk %v): Err %v, want %v", i, midChunk, sess.Err(), context.Canceled)
+		}
+		if got.Decision != sdtw.Continue || !reflect.DeepEqual(got.PerStage, want.PerStage[:1]) ||
+			got.Cost != want.PerStage[0].Cost || got.SamplesUsed != 600 {
+			t.Fatalf("read %d (mid-chunk %v): verdict %+v, want stage 1's %+v", i, midChunk, got, want.PerStage[0])
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("100 cancelled wavefronts left %d goroutines, baseline %d", n, base)
+	}
+	got := pipe.Classify(read)
+	requireResultEqual(t, "sharded Classify after the cancellations", got, want)
+	if got.Stats != want.Stats {
+		t.Errorf("stats after the cancellations %+v, want %+v", got.Stats, want.Stats)
 	}
 }

@@ -30,6 +30,11 @@ func buildTargets(cfgs []DetectorConfig) ([]engine.Target, []string, []*Detector
 	names := make([]string, len(cfgs))
 	dets := make([]*Detector, len(cfgs))
 	for i, cfg := range cfgs {
+		// A target's default is unsharded: the panel already runs its
+		// targets side by side, so the per-read wavefront is opt-in here.
+		if cfg.Shards == 0 {
+			cfg.Shards = 1
+		}
 		det, err := NewDetector(cfg)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("squigglefilter: panel target %d (%q): %w", i, cfg.Name, err)

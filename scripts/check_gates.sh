@@ -38,6 +38,11 @@ cd "$(dirname "$0")/.."
 #   cancel and on Close with no leaked goroutine, the helpers are parked
 #   before a cascade's first read, and a cancelled one-shot cascade read
 #   returns its error instead of panicking.
+# - Sharded wavefront: a cancelled chunk unwinds from either wait (halo,
+#   instance) with no leaked goroutine and the last stage's verdict; a
+#   warm session, default or Shards: 2, stays within its allocation
+#   bounds; the default shard count follows the cores on a Detector's
+#   sw paths only; a helper that just left one claim job joins the next.
 gates='
 ./internal/engine TestPanelSessionChunkingInvariance TestPanelSessionPruningDisabledPreservesBest TestPanelSessionPruningSavesDP
 ./internal/sdtw TestShardedRowMatchesExtend TestSweepRowSIMDIdentity TestCoarseLanesIdentity TestAVX2StripsVEXOnly
@@ -52,6 +57,8 @@ gates='
 ./internal/engine TestCascadeCloseConcurrent TestCascadeSessionOneAcquirePerLaneGroup
 ./internal/minion TestFlowCellCoarseTier
 ./internal/engine TestCascadeExactTierFanOutUnwinds TestCascadeClassifyContextError TestCascadeHelpersParkedBeforeFirstRead
+./internal/engine TestShardedSessionCancelUnwinds TestHelperSetJoinsBackToBack
+. TestSessionSteadyStateAllocs TestDetectorDefaultShards
 '
 
 missing=0

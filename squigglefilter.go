@@ -112,14 +112,22 @@ type DetectorConfig struct {
 	MatchBonus int32
 	BonusCap   int32
 	// Workers sizes the software worker pool: the back-end instances that
-	// Classify, ClassifyBatch and Sessions schedule their DP work over.
-	// Zero means runtime.NumCPU().
+	// Classify, ClassifyBatch and Sessions schedule their DP work over,
+	// and with the default Shards the number of shards a Detector spreads
+	// one read across. Zero means runtime.NumCPU().
 	Workers int
-	// Shards splits the reference dimension of every classification into
-	// this many shards (0 or 1 = unsharded). The software paths schedule
-	// one read's shards across the Workers pool — per-read latency drops
-	// with the shard count, not just batch throughput — and ClassifyHW
-	// gangs up to hw.NumTiles tiles cooperatively. Sharded verdicts are
+	// Shards splits the reference dimension of every software
+	// classification into this many shards, which the caller and the
+	// process's shard helpers run as a wavefront over the Workers pool:
+	// per-read latency drops with the shard count, not just batch
+	// throughput. Zero means min(Workers, GOMAXPROCS) for a Detector, so
+	// a default detector spreads one read across every core, and a
+	// Workers: 1 detector stays unsharded; Panel and CascadePanel targets,
+	// which already run side by side, resolve zero to unsharded. 1 or
+	// less forces unsharded. Explicit
+	// values above 1 also make ClassifyHW gang up to hw.NumTiles tiles
+	// cooperatively; the zero default leaves the hardware model's tile
+	// group auto-sized to the reference. Sharded verdicts are
 	// bit-identical to unsharded ones by construction; the GPU baseline
 	// models whole-kernel launches and ignores Shards.
 	Shards int
@@ -275,9 +283,11 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	// The software default follows the cores; the hardware model's tile
+	// group follows only an explicit Shards.
 	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
+	if shards == 0 {
+		shards = min(workers, runtime.GOMAXPROCS(0))
 	}
 	gpuBackend, err := engine.NewGPU(ref.Int8, icfg, gpu.TitanXP())
 	if err != nil {
@@ -294,14 +304,12 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 	}
 	// One device per detector, exactly as the single-target device maps
 	// one read to one tile — or, for references beyond one tile's buffer
-	// and for Shards > 1, to a cooperating tile group. The pipeline grants
-	// exclusive access, keeping ClassifyHW safe for concurrent use.
+	// and for an explicit Shards > 1, to a cooperating tile group. The
+	// pipeline grants exclusive access, keeping ClassifyHW safe for
+	// concurrent use.
 	hwTiles := 0 // auto-size to the reference
-	if shards > 1 {
-		hwTiles = shards
-		if hwTiles > hw.NumTiles {
-			hwTiles = hw.NumTiles
-		}
+	if cfg.Shards > 1 {
+		hwTiles = min(cfg.Shards, hw.NumTiles)
 		if need := (ref.Len() + hw.RefBufferBytes - 1) / hw.RefBufferBytes; hwTiles < need {
 			hwTiles = 0 // fall back to auto when the reference needs more
 		}

@@ -3,6 +3,7 @@ package squigglefilter
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -118,6 +119,88 @@ func TestDetectorShardedParity(t *testing.T) {
 		if hv.DRAMBytes <= det.ClassifyHW(reads[i]).DRAMBytes {
 			t.Fatalf("read %d: multi-tile hw reported no extra halo DRAM traffic", i)
 		}
+	}
+}
+
+// TestDetectorDefaultShards: Shards: 0 spreads a Detector's software
+// paths over min(Workers, GOMAXPROCS) shards, a Workers: 1 detector and a
+// panel target stay unsharded, and the hardware model does not follow the software default — a
+// default detector's ClassifyHW reports the cycles, tiles and DRAM bytes
+// of an explicit Shards: 1 detector, and its software verdicts match that
+// detector's. Default detectors built and dropped own no goroutine and
+// leave no heap behind.
+func TestDetectorDefaultShards(t *testing.T) {
+	g := &genome.Genome{Name: "default-shards", Seq: genome.Random(rand.New(rand.NewSource(7)), 3000)}
+	seq := g.Seq.String()
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, want int }{
+		{2, min(2, procs)},
+		{0, min(runtime.NumCPU(), procs)},
+		{1, 1},
+	} {
+		det, err := NewDetector(DetectorConfig{Sequence: seq, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if det.Shards() != tc.want {
+			t.Errorf("Workers %d: default Shards() = %d, want %d", tc.workers, det.Shards(), tc.want)
+		}
+	}
+
+	_, _, panelDets, err := buildTargets([]DetectorConfig{
+		{Name: "default", Sequence: seq, Workers: 2},
+		{Name: "explicit", Sequence: seq, Workers: 2, Shards: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []int{panelDets[0].Shards(), panelDets[1].Shards()}; got[0] != 1 || got[1] != 2 {
+		t.Errorf("panel targets resolved to %v shards, want [1 2]", got)
+	}
+
+	def, err := NewDetector(DetectorConfig{Sequence: seq, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewDetector(DetectorConfig{Sequence: seq, Workers: 2, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, hosts := simReads(t, g, 3)
+	reads := append(targets, hosts...)
+	got, want := def.ClassifyBatch(reads), one.ClassifyBatch(reads)
+	for i, r := range reads {
+		if got[i] != want[i] {
+			t.Errorf("read %d: default batch %+v, Shards: 1 %+v", i, got[i], want[i])
+		}
+		if v := def.Classify(r); v != want[i] {
+			t.Errorf("read %d: default Classify %+v, Shards: 1 %+v", i, v, want[i])
+		}
+		if hd, h1 := def.ClassifyHW(r), one.ClassifyHW(r); hd != h1 {
+			t.Errorf("read %d: default ClassifyHW %+v, Shards: 1 %+v", i, hd, h1)
+		}
+	}
+
+	// The first sharded detector above started the process's shard
+	// helpers; a thousand more start nothing and keep nothing alive.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	goroutines := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		det, err := NewDetector(DetectorConfig{Sequence: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.Classify(reads[i%len(reads)][:500])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("1,000 default detectors left %d goroutines, %d before", n, goroutines)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Errorf("1,000 dropped default detectors grew the live heap by %d bytes", grew)
 	}
 }
 
